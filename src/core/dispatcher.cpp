@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/simulator.hpp"  // PolicyViolation
 #include "obs/observer.hpp"
@@ -47,17 +48,20 @@ Dispatcher::Admission Dispatcher::arrive(Time now, RVec size,
 
   const JobId job = static_cast<JobId>(items_.size());
   items_.emplace_back(job, now, expected_departure, std::move(size), tenant);
+  assignment_.push_back(kNoBin);
+  last_bin_.push_back(kNoBin);
+  evicted_.push_back(0);
   const Item& item = items_.back();
   ++active_jobs_;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_arrive(tenant, now, item.size, open_order_.size());
+    usage_hook_->on_arrive(tenant, now, item.size, views_.size());
   }
 
   if (obs_ != nullptr) {
     obs_->on_arrival(now, job,
                      std::span<const double>(item.size.begin(),
                                              item.size.dim()),
-                     open_order_.size());
+                     views_.size());
   }
   BinId chosen;
   {
@@ -68,65 +72,22 @@ Dispatcher::Admission Dispatcher::arrive(Time now, RVec size,
   }
   std::size_t rejections = 0;
   if (obs_ != nullptr && obs_->wants_rejections()) {
-    for (std::size_t idx : open_order_) {
-      if (!bins_[idx].fits(item.size)) {
+    for (const BinView& view : views_) {
+      if (!bins_[view.id].fits(item.size)) {
         ++rejections;
-        obs_->on_reject(now, job, bins_[idx].id());
+        obs_->on_reject(now, job, view.id);
       }
     }
   }
 
-  Admission admission;
-  admission.job = job;
-  if (chosen == kNoBin) {
-    const BinId id = static_cast<BinId>(bins_.size());
-    // bins_ is a chunked slab: emplace never moves existing BinStates,
-    // so views_ load pointers stay valid with no repatching.
-    BinState& bin =
-        bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
-    records_.push_back(BinRecord{id, now, now, {}});
-    slot_of_.push_back(static_cast<std::uint32_t>(open_order_.size()));
-    open_order_.push_back(bins_.size() - 1);
-    table_.push_back_zero();
-    if (obs_ != nullptr) obs_->on_open(now, id);
-    bin.add(item);
-    table_.add(table_.size() - 1, item.size.data());
-    views_.push_back(BinView{id, &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
-    records_.back().items.push_back(job);
-    assignment_.push_back(id);
-    last_bin_.push_back(id);
-    evicted_.push_back(0);
-    policy_.on_open(now, id, item);
-    if (obs_ != nullptr) obs_->on_place(now, job, id, true, rejections);
-    admission.bin = id;
-    admission.opened_new_bin = true;
-    return admission;
+  const bool opened = chosen == kNoBin;
+  if (opened) {
+    chosen = open_bin(now, job);
+  } else {
+    pack_into(now, chosen, job);
   }
-
-  if (chosen >= bins_.size() || slot_of_[chosen] == kNoSlot) {
-    throw PolicyViolation("Dispatcher: policy selected a bin that is not "
-                          "open");
-  }
-  const std::uint32_t slot = slot_of_[chosen];
-  BinState& bin = bins_[open_order_[slot]];
-  if (!bin.fits(item.size)) {
-    throw PolicyViolation(
-        "Dispatcher: policy selected a bin that cannot hold the job");
-  }
-  bin.add(item);
-  table_.add(slot, item.size.data());
-  views_[slot].num_items = bin.num_active();
-  views_[slot].latest_departure = bin.latest_departure();
-  records_[bin.id()].items.push_back(job);
-  assignment_.push_back(bin.id());
-  last_bin_.push_back(bin.id());
-  evicted_.push_back(0);
-  policy_.on_pack(now, bin.id(), item);
-  if (obs_ != nullptr) obs_->on_place(now, job, bin.id(), false, rejections);
-  admission.bin = bin.id();
-  return admission;
+  if (obs_ != nullptr) obs_->on_place(now, job, chosen, opened, rejections);
+  return Admission{job, chosen, opened};
 }
 
 void Dispatcher::depart(Time now, JobId job) {
@@ -134,8 +95,7 @@ void Dispatcher::depart(Time now, JobId job) {
   if (job >= items_.size()) {
     throw std::invalid_argument("Dispatcher::depart: unknown job");
   }
-  const BinId bin_id = assignment_[job];
-  if (bin_id == kNoBin) {
+  if (assignment_[job] == kNoBin) {
     throw std::invalid_argument(
         evicted_[job] != 0
             ? "Dispatcher::depart: job is evicted; replace() it first"
@@ -145,31 +105,10 @@ void Dispatcher::depart(Time now, JobId job) {
   items_[job].departure = now;
   if (usage_hook_ != nullptr) {
     usage_hook_->on_depart(items_[job].tenant, now, items_[job].size,
-                           open_order_.size());
+                           views_.size());
   }
-
-  const std::uint32_t slot = slot_of_[bin_id];
-  if (slot == kNoSlot) {
-    throw std::logic_error("Dispatcher::depart: bin not open");
-  }
-  BinState& bin = bins_[open_order_[slot]];
-  const bool emptied = bin.remove(items_[job]);
-  assignment_[job] = kNoBin;
+  remove_job(now, job, /*evicting=*/false);
   --active_jobs_;
-  if (emptied) {
-    records_[bin_id].closed = now;
-    closed_usage_ += records_[bin_id].usage_time();
-    close_slot(slot);
-  } else {
-    table_.sub_clamped(slot, items_[job].size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
-  }
-  if (obs_ != nullptr) {
-    obs_->on_depart(now, job, bin_id, emptied);
-    if (emptied) obs_->on_close(now, bin_id, bin.opened_at());
-  }
-  policy_.on_depart(now, bin_id, items_[job], emptied);
 }
 
 Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
@@ -177,41 +116,20 @@ Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
   if (job >= items_.size()) {
     throw std::invalid_argument("Dispatcher::evict: unknown job");
   }
-  const BinId bin_id = assignment_[job];
-  if (bin_id == kNoBin) {
+  if (assignment_[job] == kNoBin) {
     throw std::invalid_argument(
         evicted_[job] != 0 ? "Dispatcher::evict: job already evicted"
                            : "Dispatcher::evict: job already departed");
   }
-  const std::uint32_t slot = slot_of_[bin_id];
-  if (slot == kNoSlot) {
-    throw std::logic_error("Dispatcher::evict: bin not open");
-  }
   // The job stays active (no demand change), but the bin count may step.
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_advance(now, open_order_.size());
+    usage_hook_->on_advance(now, views_.size());
   }
-  BinState& bin = bins_[open_order_[slot]];
   // The item's departure field is left alone: the job is still running.
-  const bool emptied = bin.remove(items_[job]);
-  assignment_[job] = kNoBin;
+  const Eviction eviction = remove_job(now, job, /*evicting=*/true);
   evicted_[job] = 1;
   ++evicted_jobs_;
-  if (emptied) {
-    records_[bin_id].closed = now;
-    closed_usage_ += records_[bin_id].usage_time();
-    close_slot(slot);
-  } else {
-    table_.sub_clamped(slot, items_[job].size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
-  }
-  if (obs_ != nullptr) {
-    obs_->on_evict(now, job, bin_id, emptied);
-    if (emptied) obs_->on_close(now, bin_id, bin.opened_at());
-  }
-  policy_.on_depart(now, bin_id, items_[job], emptied);
-  return Eviction{bin_id, emptied};
+  return eviction;
 }
 
 BinId Dispatcher::replace(Time now, JobId job, BinId target) {
@@ -221,56 +139,95 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
         "Dispatcher::replace: job is not in the evicted state");
   }
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_advance(now, open_order_.size());
+    usage_hook_->on_advance(now, views_.size());
   }
+  const bool opened = target == kNoBin;
+  if (opened) {
+    target = open_bin(now, job);
+  } else {
+    pack_into(now, target, job);
+  }
+  evicted_[job] = 0;
+  --evicted_jobs_;
+  if (obs_ != nullptr) obs_->on_replace(now, job, target, opened);
+  return target;
+}
+
+BinId Dispatcher::open_bin(Time now, JobId job) {
+  const BinId id = static_cast<BinId>(bins_.size());
+  // bins_ is a chunked slab: emplace never moves existing BinStates, so
+  // the load pointers inside views_ stay valid with no repatching.
+  BinState& bin = bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
+  records_.push_back(BinRecord{id, now, now, {}});
+  slot_of_.push_back(static_cast<std::uint32_t>(views_.size()));
+  table_.push_back_zero();
+  if (obs_ != nullptr) obs_->on_open(now, id);
   const Item& item = items_[job];
+  bin.add(item);
+  table_.add(table_.size() - 1, item.size.data());
+  views_.push_back(BinView{id, &bin.load(), bin.opened_at(), bin.num_active(),
+                           bin.latest_departure(), bin.capacity()});
+  records_[id].items.push_back(job);
+  assignment_[job] = id;
+  last_bin_[job] = id;
+  policy_.on_open(now, id, item);
+  return id;
+}
 
-  if (target == kNoBin) {
-    const BinId id = static_cast<BinId>(bins_.size());
-    BinState& bin =
-        bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
-    records_.push_back(BinRecord{id, now, now, {}});
-    slot_of_.push_back(static_cast<std::uint32_t>(open_order_.size()));
-    open_order_.push_back(bins_.size() - 1);
-    table_.push_back_zero();
-    if (obs_ != nullptr) obs_->on_open(now, id);
-    bin.add(item);
-    table_.add(table_.size() - 1, item.size.data());
-    views_.push_back(BinView{id, &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
-    records_.back().items.push_back(job);
-    assignment_[job] = id;
-    last_bin_[job] = id;
-    evicted_[job] = 0;
-    --evicted_jobs_;
-    policy_.on_open(now, id, item);
-    if (obs_ != nullptr) obs_->on_replace(now, job, id, true);
-    return id;
-  }
-
+void Dispatcher::pack_into(Time now, BinId target, JobId job) {
   if (target >= bins_.size() || slot_of_[target] == kNoSlot) {
-    throw PolicyViolation(
-        "Dispatcher::replace: target bin is not open");
+    throw PolicyViolation("Dispatcher: bin " + std::to_string(target) +
+                          " is not open");
   }
   const std::uint32_t slot = slot_of_[target];
-  BinState& bin = bins_[open_order_[slot]];
+  BinState& bin = bins_[target];
+  const Item& item = items_[job];
   if (!bin.fits(item.size)) {
-    throw PolicyViolation(
-        "Dispatcher::replace: target bin cannot hold the job");
+    throw PolicyViolation("Dispatcher: bin " + std::to_string(target) +
+                          " cannot hold job " + std::to_string(job));
   }
   bin.add(item);
   table_.add(slot, item.size.data());
   views_[slot].num_items = bin.num_active();
   views_[slot].latest_departure = bin.latest_departure();
-  records_[bin.id()].items.push_back(job);
-  assignment_[job] = bin.id();
-  last_bin_[job] = bin.id();
-  evicted_[job] = 0;
-  --evicted_jobs_;
-  policy_.on_pack(now, bin.id(), item);
-  if (obs_ != nullptr) obs_->on_replace(now, job, bin.id(), false);
-  return bin.id();
+  records_[target].items.push_back(job);
+  assignment_[job] = target;
+  last_bin_[job] = target;
+  policy_.on_pack(now, target, item);
+}
+
+Dispatcher::Eviction Dispatcher::remove_job(Time now, JobId job,
+                                            bool evicting) {
+  const BinId bin_id = assignment_[job];
+  const std::uint32_t slot = slot_of_[bin_id];
+  if (slot == kNoSlot) {
+    throw std::logic_error("Dispatcher: job's bin is not open");
+  }
+  BinState& bin = bins_[bin_id];
+  const Item& item = items_[job];
+  const bool emptied = bin.remove(item);
+  assignment_[job] = kNoBin;
+  if (emptied) {
+    records_[bin_id].closed = now;
+    closed_usage_ += records_[bin_id].usage_time();
+    close_slot(slot);
+  } else {
+    // Mirror the load update on the table lane with the identical
+    // subtract-then-clamp the RVec path just performed.
+    table_.sub_clamped(slot, item.size.data());
+    views_[slot].num_items = bin.num_active();
+    views_[slot].latest_departure = bin.latest_departure();
+  }
+  if (obs_ != nullptr) {
+    if (evicting) {
+      obs_->on_evict(now, job, bin_id, emptied);
+    } else {
+      obs_->on_depart(now, job, bin_id, emptied);
+    }
+    if (emptied) obs_->on_close(now, bin_id, bin.opened_at());
+  }
+  policy_.on_depart(now, bin_id, item, emptied);
+  return Eviction{bin_id, emptied};
 }
 
 BinId Dispatcher::last_bin_of(JobId job) const {
@@ -284,13 +241,15 @@ Packing Dispatcher::packing() const {
   return Packing(last_bin_, records_);
 }
 
+/// Removes the bin at `slot` from the opening-order arrays, preserving
+/// order (First Fit scans views_ in opening order) and reindexing the
+/// shifted suffix.
 void Dispatcher::close_slot(std::uint32_t slot) {
-  slot_of_[bins_[open_order_[slot]].id()] = kNoSlot;
-  open_order_.erase(open_order_.begin() + slot);
+  slot_of_[views_[slot].id] = kNoSlot;
   views_.erase(views_.begin() + slot);
   table_.erase_slot(slot);
-  for (std::size_t k = slot; k < open_order_.size(); ++k) {
-    slot_of_[bins_[open_order_[k]].id()] = static_cast<std::uint32_t>(k);
+  for (std::size_t k = slot; k < views_.size(); ++k) {
+    slot_of_[views_[k].id] = static_cast<std::uint32_t>(k);
   }
 }
 
@@ -346,10 +305,10 @@ void Dispatcher::save_state(serial::Writer& out) const {
     for (ItemId r : rec.items) out.u32(r);
   }
 
-  out.u64(open_order_.size());
-  for (std::size_t idx : open_order_) {
-    out.u64(idx);
-    bins_[idx].save_state(out);
+  out.u64(views_.size());
+  for (const BinView& view : views_) {
+    out.u64(view.id);
+    bins_[view.id].save_state(out);
   }
 }
 
@@ -421,7 +380,6 @@ void Dispatcher::restore_state(serial::Reader& in) {
     throw serial::SerialError(
         "Dispatcher::restore_state: more open bins than bins");
   }
-  open_order_.reserve(num_open);
   views_.reserve(num_open);
   for (std::uint64_t k = 0; k < num_open; ++k) {
     const std::uint64_t idx = in.u64();
@@ -431,7 +389,6 @@ void Dispatcher::restore_state(serial::Reader& in) {
     }
     bins_[idx].restore_state(in);
     slot_of_[idx] = static_cast<std::uint32_t>(k);
-    open_order_.push_back(idx);
     const BinState& bin = bins_[idx];
     // Raw-bit copy into the table lane: the restored slot is
     // bit-identical to the saved load, like the RVec it mirrors.
@@ -448,8 +405,8 @@ double Dispatcher::cost_so_far(Time at) const {
     // contribution is its full usage time: use the running sum and only
     // walk the open bins.
     double total = closed_usage_;
-    for (std::size_t idx : open_order_) {
-      total += std::max(0.0, at - bins_[idx].opened_at());
+    for (const BinView& view : views_) {
+      total += std::max(0.0, at - view.opened_at);
     }
     return total;
   }

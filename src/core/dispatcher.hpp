@@ -1,15 +1,16 @@
-// Dispatcher: the live, streaming counterpart of simulate().
+// Dispatcher: the placement engine (Algorithm 1 of the paper).
 //
-// simulate() replays a complete Instance; a real service does not have one
-// -- requests arrive and depart over wall-clock time. Dispatcher wraps a
-// Policy behind an incremental interface: call arrive() when a job shows
-// up (placement is returned immediately and is irrevocable, per the
-// paper's model), depart() when it finishes. Departure times need not be
-// known at arrival; clairvoyant policies may be fed an expected departure.
+// Dispatcher wraps a Policy behind an incremental interface: call arrive()
+// when a job shows up (placement is returned immediately and is
+// irrevocable, per the paper's model), depart() when it finishes; a bin
+// that empties closes permanently. Departure times need not be known at
+// arrival; clairvoyant policies may be fed an expected departure. The
+// dispatcher owns all feasibility enforcement -- a policy returning a bin
+// that is not open or cannot hold the job raises PolicyViolation.
 //
-// Feeding an Instance's event stream through a Dispatcher reproduces
-// simulate() exactly (differential-tested), so all competitive-ratio
-// guarantees carry over verbatim.
+// simulate() (core/simulator.hpp) is a loop over a Dispatcher that replays
+// a complete Instance; live services (sharded, durable, wire) drive one
+// directly over wall-clock time.
 #pragma once
 
 #include <limits>
@@ -134,7 +135,7 @@ class Dispatcher {
   // --- Introspection ---------------------------------------------------
 
   std::size_t dim() const noexcept { return dim_; }
-  std::size_t open_bins() const noexcept { return open_order_.size(); }
+  std::size_t open_bins() const noexcept { return views_.size(); }
   std::size_t bins_opened() const noexcept { return records_.size(); }
   std::size_t jobs_admitted() const noexcept { return items_.size(); }
   std::size_t jobs_active() const noexcept { return active_jobs_; }
@@ -178,7 +179,7 @@ class Dispatcher {
   /// Invalidated by the next mutating call (invariant-checker use).
   const BinState* open_bin_state(BinId id) const noexcept {
     if (id >= slot_of_.size() || slot_of_[id] == kNoSlot) return nullptr;
-    return &bins_[open_order_[slot_of_[id]]];
+    return &bins_[id];
   }
 
   /// Running sum of closed bins' usage time (monotone; checker use).
@@ -208,6 +209,15 @@ class Dispatcher {
       std::numeric_limits<std::uint32_t>::max();
 
   void check_time(Time now);
+  /// The three placement steps every event path is built from. open_bin
+  /// opens a bin at `now` holding `job`; pack_into packs `job` into open
+  /// bin `target` (PolicyViolation if it is not open or cannot hold the
+  /// job); remove_job takes `job` out of its bin, closing the bin if it
+  /// empties. Each records the job's placement and notifies the policy
+  /// and the observer's open/depart/evict/close hooks.
+  BinId open_bin(Time now, JobId job);
+  void pack_into(Time now, BinId target, JobId job);
+  Eviction remove_job(Time now, JobId job, bool evicting);
   void close_slot(std::uint32_t slot);
 
   std::size_t dim_;
@@ -226,10 +236,9 @@ class Dispatcher {
   std::size_t evicted_jobs_ = 0;
   StableVector<BinState> bins_;      // every bin ever opened, by id
   OpenBinTable table_;  // SoA loads of the open bins, parallel to views_
-  std::vector<std::size_t> open_order_;  // indices into bins_, opening order
-  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in open_order_/views_
+  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in views_/table_
   std::vector<BinRecord> records_;
-  std::vector<BinView> views_;  // open-bin views, parallel to open_order_
+  std::vector<BinView> views_;  // open-bin views, in opening order
   std::size_t active_jobs_ = 0;
   double closed_usage_ = 0.0;  // running sum of closed bins' usage time
 };

@@ -198,6 +198,8 @@ Instance Instance::from_csv(std::istream& is) {
     for (std::size_t j = 0; j + 2 < fields.size(); ++j) size[j] = fields[j + 2];
     inst.add(fields[0], fields[1], std::move(size));
   }
+  // Rows may come in any order; ids must be the arrival order.
+  inst.sort_by_arrival();
   return inst;
 }
 

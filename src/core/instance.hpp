@@ -76,7 +76,8 @@ class Instance {
 
   /// --- Trace (de)serialization ---
   /// CSV line format: arrival,departure,s_0,...,s_{d-1}
-  /// Lines starting with '#' are comments.
+  /// Lines starting with '#' are comments. from_csv sorts the rows by
+  /// arrival (stable), so ids are the arrival order whatever the row order.
   std::string to_csv() const;
   static Instance from_csv(std::istream& is);
   static Instance from_csv_string(const std::string& text);

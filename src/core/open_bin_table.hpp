@@ -24,9 +24,9 @@
 // poisoned with +inf so vector tests can run over them without admitting
 // a phantom bin (+inf + x compares false under <=).
 //
-// Slots are in opening order and match the engines' open_order_/views_
-// arrays position for position; erase_slot compacts exactly like the
-// engines' close_slot.
+// Slots are in opening order and match the Dispatcher's views_ array
+// position for position; erase_slot compacts exactly like the
+// Dispatcher's close_slot.
 #pragma once
 
 #include <cstddef>

@@ -60,7 +60,7 @@ class Policy {
   virtual BinId select_bin(Time now, const Item& item,
                            std::span<const BinView> open_bins) = 0;
 
-  /// Hot-path variant the engines call: `table` is the structure-of-
+  /// Hot-path variant the Dispatcher calls: `table` is the structure-of-
   /// arrays mirror of the same open bins (slot k of the table is
   /// open_bins[k]), whose vectorized scans answer feasibility questions
   /// 4-8 bins at a time. The default forwards to select_bin(), so

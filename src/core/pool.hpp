@@ -16,8 +16,8 @@
 //    linked list threaded through the pool; add/remove of an item is a
 //    pointer splice plus a free-list push -- no per-event new/delete.
 //    Nodes are uint32-indexed, so a bin's whole active set costs 16
-//    bytes/item and the pool serves every bin of an Engine/Dispatcher
-//    from the same few slabs (the MrWSI bin.c exemplar builds its packing
+//    bytes/item and the pool serves every bin of a Dispatcher from
+//    the same few slabs (the MrWSI bin.c exemplar builds its packing
 //    core on exactly this mempool shape).
 //
 // Neither container is thread-safe; each Dispatcher (one per shard in the
@@ -37,7 +37,7 @@
 namespace dvbp {
 
 /// Chunked slab vector: amortized O(1) push_back with STABLE addresses.
-/// Supports exactly what the engines need: emplace_back, operator[],
+/// Supports exactly what the Dispatcher needs: emplace_back, operator[],
 /// size, and forward iteration. Elements are destroyed only when the
 /// container is destroyed or clear()ed -- there is no erase.
 template <typename T>
@@ -131,7 +131,7 @@ struct UsageNode {
 };
 
 /// Free-listed slab of UsageNodes, shared by every bin of one
-/// Engine/Dispatcher. Indices (not pointers) identify nodes, so the
+/// Dispatcher. Indices (not pointers) identify nodes, so the
 /// backing slabs can be StableVector chunks and a node handle is 4 bytes.
 class UsagePool {
  public:

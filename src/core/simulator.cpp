@@ -1,233 +1,14 @@
 #include "core/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "core/bin_state.hpp"
-#include "core/event.hpp"
-#include "core/open_bin_table.hpp"
+#include "core/dispatcher.hpp"
 #include "core/policies/registry.hpp"
-#include "core/pool.hpp"
 #include "obs/observer.hpp"
 
 namespace dvbp {
 
 namespace {
-
-constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
-
-/// Engine-internal mutable run state, kept out of the public header.
-///
-/// Per-event bookkeeping is constant-time in the number of open bins
-/// (DESIGN.md Sec. 4.8): slot_of_ maps a BinId to its position in the
-/// opening-order arrays, and views_ is patched incrementally on
-/// open/pack/depart instead of being rebuilt for every arrival. Closing a
-/// bin compacts the opening-order arrays with one memmove; everything
-/// else is O(1).
-class Engine {
- public:
-  Engine(const Instance& inst, Policy& policy, const SimOptions& opts)
-      : inst_(inst), policy_(policy), opts_(opts), obs_(opts.observer),
-        table_(inst.dim(), opts.bin_capacity),
-        assignment_(inst.size(), kNoBin) {}
-
-  SimResult run(std::span<const Event> events) {
-    policy_.reset();
-    for (const Event& ev : events) {
-      if (ev.item >= inst_.size()) {
-        throw std::invalid_argument(
-            "simulate: event references item " + std::to_string(ev.item) +
-            " outside the instance");
-      }
-      if (ev.kind == EventKind::kDeparture) {
-        handle_departure(ev);
-      } else {
-        handle_arrival(ev);
-      }
-      if (opts_.record_timeline) note_timeline(ev.time);
-    }
-    if (!open_order_.empty()) {
-      // An assert here would vanish under NDEBUG and yield a packing whose
-      // open bins never receive a close time (understated cost).
-      throw std::logic_error(
-          "simulate: " + std::to_string(open_order_.size()) +
-          " bin(s) still open after the event stream drained; the stream "
-          "is truncated or missing departures");
-    }
-    return finish();
-  }
-
- private:
-  void handle_arrival(const Event& ev) {
-    const Item& item = inst_[ev.item];
-    if (obs_ != nullptr) {
-      obs_->on_arrival(ev.time, item.id,
-                       std::span<const double>(item.size.begin(),
-                                               item.size.dim()),
-                       open_order_.size());
-    }
-    BinId chosen;
-    {
-      obs::ScopedTimer timer(obs_ != nullptr ? obs_->decision_latency()
-                                             : nullptr);
-      chosen = policy_.select_bin_soa(
-          ev.time, item, std::span<const BinView>(views_), table_);
-    }
-    std::size_t rejections = 0;
-    if (obs_ != nullptr && obs_->wants_rejections()) {
-      for (std::size_t idx : open_order_) {
-        if (!bins_[idx].fits(item.size)) {
-          ++rejections;
-          obs_->on_reject(ev.time, item.id, bins_[idx].id());
-        }
-      }
-    }
-    if (chosen == kNoBin) {
-      open_bin(ev.time, item);
-      if (obs_ != nullptr) {
-        obs_->on_place(ev.time, item.id, bins_.back().id(), true, rejections);
-      }
-    } else {
-      pack_into(ev.time, chosen, item);
-      if (obs_ != nullptr) {
-        obs_->on_place(ev.time, item.id, chosen, false, rejections);
-      }
-    }
-    max_open_ = std::max(max_open_, open_order_.size());
-  }
-
-  void open_bin(Time now, const Item& item) {
-    const BinId id = static_cast<BinId>(bins_.size());
-    // bins_ is a chunked slab: emplace never moves existing BinStates,
-    // so the load pointers inside views_ stay valid with no repatching.
-    BinState& bin =
-        bins_.emplace_back(id, inst_.dim(), now, opts_.bin_capacity,
-                           &usage_pool_);
-    records_.push_back(BinRecord{id, now, now, {}});
-    slot_of_.push_back(static_cast<std::uint32_t>(open_order_.size()));
-    open_order_.push_back(bins_.size() - 1);
-    table_.push_back_zero();
-    if (obs_ != nullptr) obs_->on_open(now, id);
-    if (!bin.fits(item.size)) {
-      throw PolicyViolation("item does not fit even in an empty bin");
-    }
-    bin.add(item);
-    table_.add(table_.size() - 1, item.size.data());
-    views_.push_back(BinView{id, &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
-    records_.back().items.push_back(item.id);
-    assignment_[item.id] = id;
-    policy_.on_open(now, id, item);
-  }
-
-  void pack_into(Time now, BinId chosen, const Item& item) {
-    if (chosen >= bins_.size() || slot_of_[chosen] == kNoSlot) {
-      throw PolicyViolation("policy '" + std::string(policy_.name()) +
-                            "' selected bin that is not open");
-    }
-    const std::uint32_t slot = slot_of_[chosen];
-    BinState& bin = bins_[open_order_[slot]];
-    if (!bin.fits(item.size)) {
-      throw PolicyViolation("policy '" + std::string(policy_.name()) +
-                            "' selected a bin that cannot hold the item");
-    }
-    bin.add(item);
-    table_.add(slot, item.size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
-    records_[bin.id()].items.push_back(item.id);
-    assignment_[item.id] = bin.id();
-    policy_.on_pack(now, bin.id(), item);
-  }
-
-  void handle_departure(const Event& ev) {
-    const Item& item = inst_[ev.item];
-    const BinId bin_id = assignment_[item.id];
-    if (bin_id == kNoBin) {
-      throw std::logic_error(
-          "simulate: departure of item " + std::to_string(item.id) +
-          " before its arrival (inconsistent event stream)");
-    }
-    const std::uint32_t slot = slot_of_[bin_id];
-    if (slot == kNoSlot) {
-      throw std::logic_error(
-          "simulate: departure of item " + std::to_string(item.id) +
-          " from bin " + std::to_string(bin_id) +
-          " which already closed (duplicate departure?)");
-    }
-    BinState& bin = bins_[open_order_[slot]];
-    const bool emptied = bin.remove(item);
-    if (emptied) {
-      records_[bin_id].closed = ev.time;
-      close_slot(slot);
-    } else {
-      // Mirror the load update on the table lane with the identical
-      // subtract-then-clamp the RVec path just performed.
-      table_.sub_clamped(slot, item.size.data());
-      views_[slot].num_items = bin.num_active();
-      views_[slot].latest_departure = bin.latest_departure();
-    }
-    if (obs_ != nullptr) {
-      obs_->on_depart(ev.time, item.id, bin_id, emptied);
-      if (emptied) obs_->on_close(ev.time, bin_id, bin.opened_at());
-    }
-    policy_.on_depart(ev.time, bin_id, item, emptied);
-  }
-
-  /// Removes the bin at `slot` from the opening-order arrays, preserving
-  /// order (First Fit iterates views_ in opening order) and reindexing the
-  /// shifted suffix.
-  void close_slot(std::uint32_t slot) {
-    slot_of_[bins_[open_order_[slot]].id()] = kNoSlot;
-    open_order_.erase(open_order_.begin() + slot);
-    views_.erase(views_.begin() + slot);
-    table_.erase_slot(slot);
-    for (std::size_t k = slot; k < open_order_.size(); ++k) {
-      slot_of_[bins_[open_order_[k]].id()] = static_cast<std::uint32_t>(k);
-    }
-  }
-
-  void note_timeline(Time t) {
-    if (!timeline_.empty() && timeline_.back().first == t) {
-      timeline_.back().second = open_order_.size();
-    } else {
-      timeline_.emplace_back(t, open_order_.size());
-    }
-  }
-
-  SimResult finish() {
-    if (obs_ != nullptr && obs_->tracer() != nullptr) obs_->tracer()->flush();
-    SimResult result;
-    result.bins_opened = bins_.size();
-    result.max_open_bins = max_open_;
-    result.packing = Packing(std::move(assignment_), std::move(records_));
-    result.cost = result.packing.cost();
-    result.timeline = std::move(timeline_);
-    if (opts_.audit) {
-      if (auto err = result.packing.validate(inst_)) {
-        throw std::logic_error("simulate: packing audit failed: " + *err);
-      }
-    }
-    return result;
-  }
-
-  const Instance& inst_;
-  Policy& policy_;
-  const SimOptions& opts_;
-  obs::Observer* const obs_;
-
-  UsagePool usage_pool_;  // usage-interval nodes for every bin's active list
-  StableVector<BinState> bins_;       // every bin ever opened, by id
-  OpenBinTable table_;    // SoA loads of the open bins, parallel to views_
-  std::vector<std::size_t> open_order_;  // indices of open bins, opening order
-  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in open_order_/views_
-  std::vector<BinRecord> records_;
-  std::vector<BinId> assignment_;
-  std::vector<BinView> views_;  // open-bin views, parallel to open_order_
-  std::size_t max_open_ = 0;
-  std::vector<std::pair<Time, std::size_t>> timeline_;
-};
 
 void check_options(const Instance& inst, const SimOptions& opts) {
   if (auto err = inst.validate()) {
@@ -242,19 +23,83 @@ void check_options(const Instance& inst, const SimOptions& opts) {
   }
 }
 
+/// Feeds `events` through a Dispatcher. JobIds are handed out in arrival
+/// order, so the stream must present arrivals in ItemId order for the
+/// dispatcher's packing to be the instance's packing.
+SimResult run(const Instance& inst, std::span<const Event> events,
+              Policy& policy, const SimOptions& opts) {
+  check_options(inst, opts);
+  // An instance with no items may have no dimension yet; nothing is
+  // placed, so any dim >= 1 serves.
+  Dispatcher dispatcher(std::max<std::size_t>(inst.dim(), 1), policy,
+                        opts.bin_capacity, opts.observer);
+  SimResult result;
+  for (const Event& ev : events) {
+    if (ev.item >= inst.size()) {
+      throw std::invalid_argument(
+          "simulate: event references item " + std::to_string(ev.item) +
+          " outside the instance");
+    }
+    if (ev.kind == EventKind::kDeparture) {
+      if (ev.item >= dispatcher.jobs_admitted()) {
+        throw std::logic_error(
+            "simulate: departure of item " + std::to_string(ev.item) +
+            " before its arrival (inconsistent event stream)");
+      }
+      dispatcher.depart(ev.time, ev.item);
+    } else {
+      if (ev.item != dispatcher.jobs_admitted()) {
+        throw std::invalid_argument(
+            "simulate: arrival of item " + std::to_string(ev.item) +
+            " where item " + std::to_string(dispatcher.jobs_admitted()) +
+            " was next; item ids must follow arrival order "
+            "(Instance::sort_by_arrival)");
+      }
+      const Item& item = inst[ev.item];
+      dispatcher.arrive(ev.time, item.size, item.departure, item.tenant);
+      result.max_open_bins =
+          std::max(result.max_open_bins, dispatcher.open_bins());
+    }
+    if (opts.record_timeline) {
+      auto& timeline = result.timeline;
+      if (!timeline.empty() && timeline.back().first == ev.time) {
+        timeline.back().second = dispatcher.open_bins();
+      } else {
+        timeline.emplace_back(ev.time, dispatcher.open_bins());
+      }
+    }
+  }
+  if (dispatcher.open_bins() != 0) {
+    // An assert here would vanish under NDEBUG and yield a packing whose
+    // open bins never receive a close time (understated cost).
+    throw std::logic_error(
+        "simulate: " + std::to_string(dispatcher.open_bins()) +
+        " bin(s) still open after the event stream drained; the stream "
+        "is truncated or missing departures");
+  }
+  if (opts.observer != nullptr && opts.observer->tracer() != nullptr) {
+    opts.observer->tracer()->flush();
+  }
+  result.bins_opened = dispatcher.bins_opened();
+  result.packing = dispatcher.packing();
+  result.cost = result.packing.cost();
+  if (opts.audit) {
+    if (auto err = result.packing.validate(inst)) {
+      throw std::logic_error("simulate: packing audit failed: " + *err);
+    }
+  }
+  return result;
+}
+
 }  // namespace
 
 SimResult simulate(const Instance& inst, Policy& policy, SimOptions opts) {
-  check_options(inst, opts);
-  Engine engine(inst, policy, opts);
-  return engine.run(build_event_stream(inst));
+  return run(inst, build_event_stream(inst), policy, opts);
 }
 
 SimResult simulate_events(const Instance& inst, std::span<const Event> events,
                           Policy& policy, SimOptions opts) {
-  check_options(inst, opts);
-  Engine engine(inst, policy, opts);
-  return engine.run(events);
+  return run(inst, events, policy, opts);
 }
 
 SimResult simulate(const Instance& inst, std::string_view policy_name,

@@ -1,8 +1,9 @@
-// The online simulation engine (Algorithm 1 of the paper).
+// simulate(): the online algorithm run over a complete Instance.
 //
-// Drives a Policy over the event stream of an Instance: on each arrival the
+// simulate() feeds the event stream of an Instance through a Dispatcher
+// (core/dispatcher.hpp, Algorithm 1 of the paper): on each arrival the
 // policy picks an open bin (or asks for a new one); on each departure the
-// item is removed and empty bins close permanently. The engine owns all
+// item is removed and empty bins close permanently. The Dispatcher owns all
 // feasibility enforcement -- a policy returning a non-fitting bin is a
 // programming error and raises PolicyViolation.
 #pragma once
@@ -62,15 +63,19 @@ struct SimResult {
 };
 
 /// Runs `policy` (after policy.reset()) over `inst`. Throws
-/// std::invalid_argument when the instance fails validation and
+/// std::invalid_argument when the instance fails validation or its item
+/// ids are not in arrival order (see Instance::sort_by_arrival), and
 /// PolicyViolation on illegal policy decisions.
 SimResult simulate(const Instance& inst, Policy& policy, SimOptions opts = {});
 
 /// Replays a caller-supplied event stream instead of the instance's own
-/// (useful for custom tie-breaking or replay tooling). The stream must be
-/// consistent and complete: arrivals precede departures, no duplicates,
-/// and every opened bin must drain. Violations raise std::logic_error --
-/// checked unconditionally, in NDEBUG builds too.
+/// (replay tooling, and tests of truncated or reordered streams). The
+/// stream must be consistent and complete: time never goes backwards,
+/// arrivals come in ItemId order, every departure follows its arrival
+/// exactly once, and every opened bin drains. Violations raise
+/// std::logic_error (std::invalid_argument for an out-of-order arrival, a
+/// time regression, an item outside the instance or a repeated departure)
+/// -- checked unconditionally, in NDEBUG builds too.
 SimResult simulate_events(const Instance& inst, std::span<const Event> events,
                           Policy& policy, SimOptions opts = {});
 

@@ -1,11 +1,11 @@
 // Streaming trace replay: feed a trace's event stream straight into a
 // Dispatcher without ever materializing an Instance or an event vector.
 //
-// The cursor emits events in exactly build_event_stream() order and the
-// Dispatcher is differential-tested to match simulate() bin for bin, so a
-// replayed trace produces bit-identical cost/bins to materializing the
-// trace and running the batch engine -- pinned for all ten registered
-// policies in tests/test_trace.cpp. Memory stays O(active items), which is
+// The cursor emits events in exactly build_event_stream() order and
+// simulate() is itself a loop over a Dispatcher, so a replayed trace
+// produces bit-identical cost/bins to materializing the trace and running
+// simulate() -- pinned for all ten registered policies in
+// tests/test_trace.cpp. Memory stays O(active items), which is
 // what lets the harness pack multi-million-event traces.
 #pragma once
 
@@ -47,7 +47,7 @@ struct ReplayResult {
 
 /// Replays `reader`'s events through `policy` (after policy.reset()).
 /// Departure times are shown to clairvoyant policies at arrival, matching
-/// the batch engine. Throws PolicyViolation on illegal policy decisions.
+/// simulate(). Throws PolicyViolation on illegal policy decisions.
 ReplayResult replay_trace(const TraceReader& reader, Policy& policy,
                           const ReplayOptions& options = {});
 

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <map>
 
-#include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/policies/registry.hpp"
 #include "core/simulator.hpp"
@@ -102,65 +101,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 2, 5),
                        ::testing::Values<std::uint64_t>(101, 202, 303, 404,
                                                         505)));
-
-// ---- Dispatcher vs simulate() under resource augmentation -------------------
-// The streaming Dispatcher must reproduce the batch engine bin-for-bin not
-// only at capacity 1 (covered by test_dispatcher) but for every augmented
-// capacity 1 + beta, where the fit predicate and therefore every placement
-// decision changes.
-
-class AugmentedDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<double, const char*>> {};
-
-TEST_P(AugmentedDifferentialTest, DispatcherMatchesEngineBinForBin) {
-  const auto [beta, policy_name] = GetParam();
-  const double capacity = 1.0 + beta;
-  gen::UniformParams params;
-  params.d = 2;
-  params.n = 300;
-  params.mu = 10;
-  params.span = 80;
-  params.bin_size = 7;
-  const Instance inst = gen::uniform_instance(params, 99);
-
-  SimOptions opts;
-  opts.bin_capacity = capacity;
-  PolicyPtr batch_policy = make_policy(policy_name);
-  const SimResult sim = simulate(inst, *batch_policy, opts);
-
-  PolicyPtr live_policy = make_policy(policy_name);
-  Dispatcher dispatcher(inst.dim(), *live_policy, capacity);
-  for (const Event& ev : build_event_stream(inst)) {
-    const Item& item = inst[ev.item];
-    if (ev.kind == EventKind::kArrival) {
-      const auto admission =
-          dispatcher.arrive(item.arrival, item.size, item.departure);
-      ASSERT_EQ(admission.job, item.id);
-      EXPECT_EQ(admission.bin, sim.packing.bin_of(item.id))
-          << "item " << item.id << " at beta=" << beta;
-    } else {
-      dispatcher.depart(ev.time, item.id);
-    }
-  }
-
-  ASSERT_EQ(dispatcher.records().size(), sim.packing.num_bins());
-  for (std::size_t b = 0; b < sim.packing.num_bins(); ++b) {
-    const BinRecord& live = dispatcher.records()[b];
-    const BinRecord& batch = sim.packing.bins()[b];
-    EXPECT_EQ(live.id, batch.id);
-    EXPECT_DOUBLE_EQ(live.opened, batch.opened) << "bin " << b;
-    EXPECT_DOUBLE_EQ(live.closed, batch.closed) << "bin " << b;
-    EXPECT_EQ(live.items, batch.items) << "bin " << b;
-  }
-  EXPECT_EQ(dispatcher.open_bins(), 0u);
-  EXPECT_NEAR(dispatcher.cost_so_far(inst.last_departure()), sim.cost, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Augmented, AugmentedDifferentialTest,
-    ::testing::Combine(::testing::Values(0.25, 0.5, 1.0),
-                       ::testing::Values("FirstFit", "MoveToFront", "BestFit",
-                                         "NextFit")));
 
 // ---- Reference lb_height via brute-force time grid --------------------------
 

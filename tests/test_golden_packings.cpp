@@ -1,16 +1,17 @@
-// Golden-packing differential suite: pins the engine's exact packing
-// decisions against hashes recorded from the engine before the O(1)
-// bin-indexing refactor (PR "constant-time bin indexing"). Any change to
-// placement semantics -- bin chosen, opening order, open/close times --
-// changes a hash and fails here.
+// Golden-packing suite: pins the placement engine's exact packing
+// decisions against recorded hashes. Any change to placement semantics --
+// bin chosen, opening order, open/close times -- changes a hash and fails
+// here.
 //
 // Coverage: all 10 registered policies x (uniform d in {1,2,5} plus the
 // high-dimension set {7,8,9,16} straddling RVec's inline/heap boundary at
-// kInlineDim = 8, + the four adversarial constructions), fixed seeds.
-// Each case is additionally replayed through the streaming Dispatcher and
-// must match the batch engine bin-for-bin. The no-SIMD CI job re-runs
-// this suite with -DDVBP_DISABLE_SIMD=ON and must produce identical
-// hashes (scalar/SIMD bit-exactness contract, core/open_bin_table.hpp).
+// kInlineDim = 8, + the four adversarial constructions), fixed seeds, each
+// run through simulate() and through a hand-driven Dispatcher replay.
+// A second table pins resource augmentation (bin capacity 1 + beta, where
+// the fit predicate and so every decision changes). The no-SIMD CI job
+// re-runs this suite with -DDVBP_DISABLE_SIMD=ON and must produce
+// identical hashes (scalar/SIMD bit-exactness contract,
+// core/open_bin_table.hpp).
 //
 // Regenerating goldens (only legitimate after an *intentional* semantic
 // change): DVBP_DUMP_GOLDEN=1 ./test_golden_packings | grep '^    {' then
@@ -28,11 +29,11 @@
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/packing.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/simulator.hpp"
 #include "gen/adversarial.hpp"
 #include "gen/uniform.hpp"
-#include "packing_hash.hpp"
 
 namespace dvbp {
 namespace {
@@ -70,9 +71,6 @@ std::vector<std::pair<std::string, Instance>> golden_workloads() {
   return out;
 }
 
-// fnv / packing_hash moved to packing_hash.hpp (shared with the
-// crash-recovery parity suite).
-
 struct GoldenEntry {
   const char* workload;
   const char* policy;
@@ -92,7 +90,28 @@ std::uint64_t expected_hash(const std::string& workload,
   return 0;
 }
 
-TEST(GoldenPackings, EngineMatchesPreRefactorGoldens) {
+/// Drives a Dispatcher by hand over `inst`'s event stream (arrive/depart,
+/// as a live service would) and returns its final packing.
+Packing dispatcher_replay(const Instance& inst, Policy& policy,
+                          double capacity = 1.0) {
+  Dispatcher dispatcher(inst.dim(), policy, capacity);
+  for (const Event& ev : build_event_stream(inst)) {
+    const Item& item = inst[ev.item];
+    if (ev.kind == EventKind::kArrival) {
+      EXPECT_EQ(dispatcher.arrive(ev.time, item.size, item.departure).job,
+                item.id);
+    } else {
+      dispatcher.depart(ev.time, item.id);
+    }
+  }
+  EXPECT_EQ(dispatcher.open_bins(), 0u);
+  const Packing packing = dispatcher.packing();
+  EXPECT_NEAR(dispatcher.cost_so_far(inst.last_departure()), packing.cost(),
+              1e-9);
+  return packing;
+}
+
+TEST(GoldenPackings, SimulateMatchesGoldens) {
   const bool dump = std::getenv("DVBP_DUMP_GOLDEN") != nullptr;
   for (const auto& [name, inst] : golden_workloads()) {
     for (const char* policy_name : kPolicies) {
@@ -105,48 +124,69 @@ TEST(GoldenPackings, EngineMatchesPreRefactorGoldens) {
         continue;
       }
       EXPECT_EQ(h, expected_hash(name, policy_name))
-          << name << "/" << policy_name
-          << ": packing diverged from the pre-refactor engine";
+          << name << "/" << policy_name << ": packing diverged from golden";
     }
   }
   if (dump) GTEST_SKIP() << "golden dump mode; comparisons skipped";
 }
 
-TEST(GoldenPackings, DispatcherReplayMatchesEngineBinForBin) {
+TEST(GoldenPackings, DispatcherReplayMatchesGoldens) {
   for (const auto& [name, inst] : golden_workloads()) {
-    const auto events = build_event_stream(inst);
     for (const char* policy_name : kPolicies) {
-      PolicyPtr batch_policy = make_policy(policy_name, kPolicySeed);
-      const SimResult sim = simulate(inst, *batch_policy);
-
-      PolicyPtr live_policy = make_policy(policy_name, kPolicySeed);
-      Dispatcher dispatcher(inst.dim(), *live_policy);
-      for (const Event& ev : events) {
-        const Item& item = inst[ev.item];
-        if (ev.kind == EventKind::kArrival) {
-          const auto admission =
-              dispatcher.arrive(item.arrival, item.size, item.departure);
-          ASSERT_EQ(admission.bin, sim.packing.bin_of(item.id))
-              << name << "/" << policy_name << " item " << item.id;
-        } else {
-          dispatcher.depart(ev.time, item.id);
-        }
-      }
-      ASSERT_EQ(dispatcher.records().size(), sim.packing.num_bins())
+      PolicyPtr policy = make_policy(policy_name, kPolicySeed);
+      EXPECT_EQ(packing_hash(dispatcher_replay(inst, *policy)),
+                expected_hash(name, policy_name))
           << name << "/" << policy_name;
-      for (std::size_t b = 0; b < sim.packing.num_bins(); ++b) {
-        const BinRecord& live = dispatcher.records()[b];
-        const BinRecord& batch = sim.packing.bins()[b];
-        EXPECT_EQ(live.id, batch.id) << name << "/" << policy_name;
-        EXPECT_DOUBLE_EQ(live.opened, batch.opened)
-            << name << "/" << policy_name << " bin " << b;
-        EXPECT_DOUBLE_EQ(live.closed, batch.closed)
-            << name << "/" << policy_name << " bin " << b;
-        EXPECT_EQ(live.items, batch.items)
-            << name << "/" << policy_name << " bin " << b;
-      }
-      EXPECT_EQ(dispatcher.open_bins(), 0u) << name << "/" << policy_name;
     }
+  }
+}
+
+// ---- Resource augmentation -------------------------------------------------
+// uniform d=2, n=300, mu=10, span=80, bin_size=7, seed 99, policies at the
+// registry's default seed. Recorded from the batch engine that simulate()
+// ran on before it became a loop over Dispatcher.
+
+struct AugmentedGolden {
+  double beta;
+  const char* policy;
+  std::uint64_t hash;
+};
+
+const AugmentedGolden kAugmentedGolden[] = {
+    {0.25, "FirstFit", 0x847F6AD38DECA06Dull},
+    {0.25, "MoveToFront", 0xF8CA1214083DC397ull},
+    {0.25, "BestFit", 0x558540518DCD569Full},
+    {0.25, "NextFit", 0x3A230B029F402A4Aull},
+    {0.5, "FirstFit", 0x3AFEAE18A352743Full},
+    {0.5, "MoveToFront", 0x296E803B8E9922E4ull},
+    {0.5, "BestFit", 0xB0EBBC565366EBBCull},
+    {0.5, "NextFit", 0xB5105E86BB4613A1ull},
+    {1.0, "FirstFit", 0x32F4F63BBB219B09ull},
+    {1.0, "MoveToFront", 0xBBC67F96DEBACF1Dull},
+    {1.0, "BestFit", 0xBBF6B6594C38CC69ull},
+    {1.0, "NextFit", 0x62A3B228EADFD913ull},
+};
+
+TEST(GoldenPackings, AugmentedCapacityMatchesGoldens) {
+  gen::UniformParams params;
+  params.d = 2;
+  params.n = 300;
+  params.mu = 10;
+  params.span = 80;
+  params.bin_size = 7;
+  const Instance inst = gen::uniform_instance(params, 99);
+  for (const AugmentedGolden& g : kAugmentedGolden) {
+    const double capacity = 1.0 + g.beta;
+    PolicyPtr live_policy = make_policy(g.policy);
+    EXPECT_EQ(packing_hash(dispatcher_replay(inst, *live_policy, capacity)),
+              g.hash)
+        << g.policy << " at beta=" << g.beta;
+    PolicyPtr batch_policy = make_policy(g.policy);
+    EXPECT_EQ(packing_hash(simulate(inst, *batch_policy,
+                                    {.bin_capacity = capacity})
+                               .packing),
+              g.hash)
+        << g.policy << " at beta=" << g.beta << " via simulate()";
   }
 }
 

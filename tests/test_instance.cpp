@@ -133,6 +133,25 @@ TEST(Instance, CsvSkipsCommentsAndBlankLines) {
   EXPECT_EQ(inst.dim(), 1u);
 }
 
+TEST(Instance, CsvOfShuffledRowsYieldsIdsInArrivalOrder) {
+  // Rows out of arrival order (ties keep row order) are sorted on load:
+  // ids are the arrival order the placement engine requires.
+  const Instance inst = Instance::from_csv_string(
+      "5,6,0.1\n"
+      "0,2,0.2\n"
+      "1,4,0.3\n"
+      "0,3,0.4\n");
+  ASSERT_EQ(inst.size(), 4u);
+  const double arrivals[] = {0.0, 0.0, 1.0, 5.0};
+  const double sizes[] = {0.2, 0.4, 0.3, 0.1};
+  for (std::size_t i = 0; i < inst.size(); ++i) {
+    EXPECT_EQ(inst[i].id, static_cast<ItemId>(i));
+    EXPECT_DOUBLE_EQ(inst[i].arrival, arrivals[i]);
+    EXPECT_DOUBLE_EQ(inst[i].size[0], sizes[i]);
+  }
+  EXPECT_FALSE(inst.validate().has_value());
+}
+
 TEST(Instance, CsvRejectsMalformedLines) {
   EXPECT_THROW(Instance::from_csv_string("0,1\n"), std::invalid_argument);
   EXPECT_THROW(Instance::from_csv_string("a,b,c\n"), std::invalid_argument);

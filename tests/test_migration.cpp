@@ -14,6 +14,7 @@
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/invariants.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/rebalancer.hpp"
 #include "core/serial.hpp"
@@ -23,7 +24,6 @@
 #include "obs/replay.hpp"
 #include "obs/trace.hpp"
 #include "opt/lower_bounds.hpp"
-#include "packing_hash.hpp"
 #include "persist/durable.hpp"
 #include "persist/journal.hpp"
 

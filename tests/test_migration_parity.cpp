@@ -19,11 +19,11 @@
 #include "core/event.hpp"
 #include "core/invariants.hpp"
 #include "core/packing.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/rebalancer.hpp"
 #include "gen/adversarial.hpp"
 #include "gen/uniform.hpp"
-#include "packing_hash.hpp"
 
 namespace dvbp {
 namespace {

@@ -14,11 +14,11 @@
 
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/serial.hpp"
 #include "core/simulator.hpp"
 #include "gen/uniform.hpp"
-#include "packing_hash.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/durable.hpp"
 #include "persist/fault.hpp"

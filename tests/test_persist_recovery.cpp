@@ -24,12 +24,12 @@
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/invariants.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/rebalancer.hpp"
 #include "core/simulator.hpp"
 #include "gen/tenants.hpp"
 #include "gen/uniform.hpp"
-#include "packing_hash.hpp"
 #include "persist/durable.hpp"
 #include "persist/fault.hpp"
 #include "persist/journal.hpp"

@@ -170,6 +170,7 @@ TEST(RandomFit, DeterministicUnderSeed) {
     inst.add(static_cast<Time>(i % 7), static_cast<Time>(i % 7 + 3),
              RVec{0.2 + 0.05 * (i % 5)});
   }
+  inst.sort_by_arrival();  // simulate() requires ids in arrival order
   const auto a = simulate(inst, "RandomFit", {}, /*policy_seed=*/99);
   const auto b = simulate(inst, "RandomFit", {}, /*policy_seed=*/99);
   EXPECT_EQ(a.packing.assignment(), b.packing.assignment());

@@ -103,6 +103,45 @@ TEST(ReleaseGuards, EventBeyondInstanceThrows) {
                std::invalid_argument);
 }
 
+TEST(ReleaseGuards, OutOfOrderInstanceThrows) {
+  // Item ids must be the arrival order: the placement engine numbers jobs
+  // as they arrive, and the packing is reported by those numbers.
+  Instance inst(1);
+  inst.add(3.0, 6.0, RVec{0.6});
+  inst.add(1.0, 5.0, RVec{0.6});
+  PolicyPtr policy = make_policy("FirstFit");
+  EXPECT_THROW(simulate(inst, *policy), std::invalid_argument);
+  inst.sort_by_arrival();
+  EXPECT_NO_THROW(simulate(inst, *policy));
+}
+
+TEST(ReleaseGuards, ArrivalsOutOfIdOrderThrow) {
+  Instance inst(1);
+  inst.add(0.0, 4.0, RVec{0.6});
+  inst.add(0.0, 5.0, RVec{0.6});
+  std::vector<Event> events = build_event_stream(inst);
+  ASSERT_EQ(events[0].item, 0u);
+  std::swap(events[0], events[1]);  // item 1 arrives first
+  PolicyPtr policy = make_policy("FirstFit");
+  EXPECT_THROW(simulate_events(inst, events, *policy), std::invalid_argument);
+}
+
+TEST(ReleaseGuards, TimeRegressingStreamThrows) {
+  // Every event is consistent on its own, but the clock runs backwards
+  // between item 0's arrival and item 1's.
+  Instance inst(1);
+  inst.add(2.0, 6.0, RVec{0.6});
+  inst.add(1.0, 5.0, RVec{0.6});
+  const std::vector<Event> events = {
+      {2.0, EventKind::kArrival, 0},
+      {1.0, EventKind::kArrival, 1},
+      {5.0, EventKind::kDeparture, 1},
+      {6.0, EventKind::kDeparture, 0},
+  };
+  PolicyPtr policy = make_policy("FirstFit");
+  EXPECT_THROW(simulate_events(inst, events, *policy), std::invalid_argument);
+}
+
 TEST(ReleaseGuards, CompleteEventStreamMatchesSimulate) {
   Instance inst(2);
   inst.add(0.0, 4.0, RVec{0.6, 0.1});

@@ -1,13 +1,11 @@
 // Tests for the statistics substrate: RNG determinism and distributional
-// sanity, Welford accumulators (including parallel merge), quantiles, and
-// histograms.
+// sanity, Welford accumulators (including parallel merge), and quantiles.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
 
 #include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
 #include "stats/rng.hpp"
 
 namespace dvbp {
@@ -167,41 +165,6 @@ TEST(Descriptive, EdgeCases) {
   EXPECT_DOUBLE_EQ(sample_stddev({5.0}), 0.0);
   EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
   EXPECT_THROW(quantile({1.0}, 1.5), std::invalid_argument);
-}
-
-TEST(Histogram, BucketsAndBoundaries) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);    // bucket 0
-  h.add(1.99);   // bucket 0
-  h.add(2.0);    // bucket 1
-  h.add(9.999);  // bucket 4
-  h.add(10.0);   // overflow (half-open)
-  h.add(-0.1);   // underflow
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
-TEST(Histogram, ValidatesConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  Histogram h(0, 1, 2);
-  EXPECT_THROW(h.bucket_lo(2), std::out_of_range);
-}
-
-TEST(Histogram, RenderShowsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(1.5);
-  const std::string out = h.render(10);
-  EXPECT_NE(out.find("##########"), std::string::npos);  // peak bucket
-  EXPECT_NE(out.find(" 2"), std::string::npos);
 }
 
 }  // namespace

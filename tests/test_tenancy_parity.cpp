@@ -23,11 +23,11 @@
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/packing.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "gen/adversarial.hpp"
 #include "gen/tenants.hpp"
 #include "gen/uniform.hpp"
-#include "packing_hash.hpp"
 #include "tenancy/accountant.hpp"
 
 namespace dvbp {

@@ -26,13 +26,13 @@
 
 #include "core/event.hpp"
 #include "core/instance.hpp"
+#include "core/packing_hash.hpp"
 #include "core/policies/registry.hpp"
 #include "core/pool.hpp"
 #include "core/simulator.hpp"
 #include "gen/uniform.hpp"
 #include "opt/lower_bounds.hpp"
 #include "opt/offline_opt.hpp"
-#include "packing_hash.hpp"
 #include "trace/convert.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
