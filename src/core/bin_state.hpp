@@ -54,8 +54,6 @@ class BinState {
   /// Currently-active items in insertion order, materialized from the
   /// node list (cold-path use: audits, the rebalancer's planning pass).
   std::vector<ItemId> active_items() const;
-  /// Count of every item ever packed here (for diagnostics).
-  std::size_t total_packed() const noexcept { return total_packed_; }
   /// Latest departure among currently-active items (clairvoyant policies).
   /// Reflects each item's departure as of its add() call.
   Time latest_departure() const noexcept { return latest_departure_; }
@@ -107,7 +105,7 @@ class BinState {
   std::uint32_t head_ = UsagePool::kNil;
   std::uint32_t tail_ = UsagePool::kNil;
   std::size_t num_active_ = 0;
-  std::size_t total_packed_ = 0;
+  std::size_t total_packed_ = 0;  // items ever packed (serialized)
   Time latest_departure_ = 0.0;
 };
 

@@ -54,28 +54,27 @@ Dispatcher::Admission Dispatcher::arrive(Time now, RVec size,
   const Item& item = items_.back();
   ++active_jobs_;
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_arrive(tenant, now, item.size, views_.size());
+    usage_hook_->on_arrive(tenant, now, item.size, table_.size());
   }
 
   if (obs_ != nullptr) {
     obs_->on_arrival(now, job,
                      std::span<const double>(item.size.begin(),
                                              item.size.dim()),
-                     views_.size());
+                     table_.size());
   }
   BinId chosen;
   {
     obs::ScopedTimer timer(obs_ != nullptr ? obs_->decision_latency()
                                            : nullptr);
-    chosen = policy_.select_bin_soa(now, item,
-                                    std::span<const BinView>(views_), table_);
+    chosen = policy_.select_bin(now, item, table_);
   }
   std::size_t rejections = 0;
   if (obs_ != nullptr && obs_->wants_rejections()) {
-    for (const BinView& view : views_) {
-      if (!bins_[view.id].fits(item.size)) {
+    for (std::size_t slot = 0; slot < table_.size(); ++slot) {
+      if (!table_.fits(slot, item.size.data())) {
         ++rejections;
-        obs_->on_reject(now, job, view.id);
+        obs_->on_reject(now, job, table_.id(slot));
       }
     }
   }
@@ -105,7 +104,7 @@ void Dispatcher::depart(Time now, JobId job) {
   items_[job].departure = now;
   if (usage_hook_ != nullptr) {
     usage_hook_->on_depart(items_[job].tenant, now, items_[job].size,
-                           views_.size());
+                           table_.size());
   }
   remove_job(now, job, /*evicting=*/false);
   --active_jobs_;
@@ -123,7 +122,7 @@ Dispatcher::Eviction Dispatcher::evict(Time now, JobId job) {
   }
   // The job stays active (no demand change), but the bin count may step.
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_advance(now, views_.size());
+    usage_hook_->on_advance(now, table_.size());
   }
   // The item's departure field is left alone: the job is still running.
   const Eviction eviction = remove_job(now, job, /*evicting=*/true);
@@ -139,7 +138,7 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
         "Dispatcher::replace: job is not in the evicted state");
   }
   if (usage_hook_ != nullptr) {
-    usage_hook_->on_advance(now, views_.size());
+    usage_hook_->on_advance(now, table_.size());
   }
   const bool opened = target == kNoBin;
   if (opened) {
@@ -155,18 +154,16 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
 
 BinId Dispatcher::open_bin(Time now, JobId job) {
   const BinId id = static_cast<BinId>(bins_.size());
-  // bins_ is a chunked slab: emplace never moves existing BinStates, so
-  // the load pointers inside views_ stay valid with no repatching.
   BinState& bin = bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
   records_.push_back(BinRecord{id, now, now, {}});
-  slot_of_.push_back(static_cast<std::uint32_t>(views_.size()));
-  table_.push_back_zero();
+  const std::size_t slot = table_.size();
+  slot_of_.push_back(static_cast<std::uint32_t>(slot));
+  table_.push_back_zero(id);
   if (obs_ != nullptr) obs_->on_open(now, id);
   const Item& item = items_[job];
   bin.add(item);
-  table_.add(table_.size() - 1, item.size.data());
-  views_.push_back(BinView{id, &bin.load(), bin.opened_at(), bin.num_active(),
-                           bin.latest_departure(), bin.capacity()});
+  table_.add(slot, item.size.data());
+  table_.set_latest_departure(slot, bin.latest_departure());
   records_[id].items.push_back(job);
   assignment_[job] = id;
   last_bin_[job] = id;
@@ -188,8 +185,7 @@ void Dispatcher::pack_into(Time now, BinId target, JobId job) {
   }
   bin.add(item);
   table_.add(slot, item.size.data());
-  views_[slot].num_items = bin.num_active();
-  views_[slot].latest_departure = bin.latest_departure();
+  table_.set_latest_departure(slot, bin.latest_departure());
   records_[target].items.push_back(job);
   assignment_[job] = target;
   last_bin_[job] = target;
@@ -215,8 +211,7 @@ Dispatcher::Eviction Dispatcher::remove_job(Time now, JobId job,
     // Mirror the load update on the table lane with the identical
     // subtract-then-clamp the RVec path just performed.
     table_.sub_clamped(slot, item.size.data());
-    views_[slot].num_items = bin.num_active();
-    views_[slot].latest_departure = bin.latest_departure();
+    table_.set_latest_departure(slot, bin.latest_departure());
   }
   if (obs_ != nullptr) {
     if (evicting) {
@@ -241,15 +236,13 @@ Packing Dispatcher::packing() const {
   return Packing(last_bin_, records_);
 }
 
-/// Removes the bin at `slot` from the opening-order arrays, preserving
-/// order (First Fit scans views_ in opening order) and reindexing the
-/// shifted suffix.
+/// Removes the bin at `slot` from the table, preserving opening order
+/// (First Fit scans it in that order) and reindexing the shifted suffix.
 void Dispatcher::close_slot(std::uint32_t slot) {
-  slot_of_[views_[slot].id] = kNoSlot;
-  views_.erase(views_.begin() + slot);
+  slot_of_[table_.id(slot)] = kNoSlot;
   table_.erase_slot(slot);
-  for (std::size_t k = slot; k < views_.size(); ++k) {
-    slot_of_[views_[k].id] = static_cast<std::uint32_t>(k);
+  for (std::size_t k = slot; k < table_.size(); ++k) {
+    slot_of_[table_.id(k)] = static_cast<std::uint32_t>(k);
   }
 }
 
@@ -305,10 +298,11 @@ void Dispatcher::save_state(serial::Writer& out) const {
     for (ItemId r : rec.items) out.u32(r);
   }
 
-  out.u64(views_.size());
-  for (const BinView& view : views_) {
-    out.u64(view.id);
-    bins_[view.id].save_state(out);
+  out.u64(table_.size());
+  for (std::size_t slot = 0; slot < table_.size(); ++slot) {
+    const BinId id = table_.id(slot);
+    out.u64(id);
+    bins_[id].save_state(out);
   }
 }
 
@@ -380,7 +374,6 @@ void Dispatcher::restore_state(serial::Reader& in) {
     throw serial::SerialError(
         "Dispatcher::restore_state: more open bins than bins");
   }
-  views_.reserve(num_open);
   for (std::uint64_t k = 0; k < num_open; ++k) {
     const std::uint64_t idx = in.u64();
     if (idx >= num_bins) {
@@ -392,10 +385,8 @@ void Dispatcher::restore_state(serial::Reader& in) {
     const BinState& bin = bins_[idx];
     // Raw-bit copy into the table lane: the restored slot is
     // bit-identical to the saved load, like the RVec it mirrors.
-    table_.push_back_raw(bin.load().data());
-    views_.push_back(BinView{bin.id(), &bin.load(), bin.opened_at(),
-                             bin.num_active(), bin.latest_departure(),
-                             bin.capacity()});
+    table_.push_back_raw(bin.id(), bin.load().data(),
+                         bin.latest_departure());
   }
 }
 
@@ -405,8 +396,8 @@ double Dispatcher::cost_so_far(Time at) const {
     // contribution is its full usage time: use the running sum and only
     // walk the open bins.
     double total = closed_usage_;
-    for (const BinView& view : views_) {
-      total += std::max(0.0, at - view.opened_at);
+    for (std::size_t slot = 0; slot < table_.size(); ++slot) {
+      total += std::max(0.0, at - bins_[table_.id(slot)].opened_at());
     }
     return total;
   }

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <limits>
-#include <span>
 #include <vector>
 
 #include "core/bin_state.hpp"
@@ -135,7 +134,7 @@ class Dispatcher {
   // --- Introspection ---------------------------------------------------
 
   std::size_t dim() const noexcept { return dim_; }
-  std::size_t open_bins() const noexcept { return views_.size(); }
+  std::size_t open_bins() const noexcept { return table_.size(); }
   std::size_t bins_opened() const noexcept { return records_.size(); }
   std::size_t jobs_admitted() const noexcept { return items_.size(); }
   std::size_t jobs_active() const noexcept { return active_jobs_; }
@@ -144,12 +143,11 @@ class Dispatcher {
   /// Bin currently hosting `job` (kNoBin after departure).
   BinId bin_of(JobId job) const;
 
-  /// Read-only views of the open bins in opening order. The spans and the
-  /// load pointers inside them are invalidated by the next arrive()/depart();
-  /// callers that share the dispatcher across threads must hold their own
-  /// lock across the call and any use of the result (the sharded service's
-  /// router reads these under the shard mutex).
-  std::span<const BinView> open_views() const noexcept { return views_; }
+  /// The open bins in opening order -- the table every policy decides
+  /// from. Slot contents change with the next mutating call; callers that
+  /// share the dispatcher across threads must hold their own lock across
+  /// the call and any use of the result.
+  const OpenBinTable& open_bin_table() const noexcept { return table_; }
 
   /// Sum over open bins and dimensions of the current load -- the
   /// "total usage" signal the least-usage router balances on. O(open bins).
@@ -235,10 +233,9 @@ class Dispatcher {
   std::vector<std::uint8_t> evicted_;  // JobId -> 1 while in limbo
   std::size_t evicted_jobs_ = 0;
   StableVector<BinState> bins_;      // every bin ever opened, by id
-  OpenBinTable table_;  // SoA loads of the open bins, parallel to views_
-  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in views_/table_
+  OpenBinTable table_;  // the open bins, in opening order
+  std::vector<std::uint32_t> slot_of_;  // BinId -> slot in table_
   std::vector<BinRecord> records_;
-  std::vector<BinView> views_;  // open-bin views, in opening order
   std::size_t active_jobs_ = 0;
   double closed_usage_ = 0.0;  // running sum of closed bins' usage time
 };

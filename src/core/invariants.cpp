@@ -25,30 +25,32 @@ std::optional<std::string> PackingInvariantChecker::check(
   // --- Invariant 1: open-bin loads --------------------------------------
   std::unordered_map<JobId, BinId> placed;  // job -> hosting open bin
   std::size_t active_in_bins = 0;
-  for (const BinView& view : d.open_views()) {
-    const BinState* bin = d.open_bin_state(view.id);
+  const OpenBinTable& table = d.open_bin_table();
+  for (std::size_t slot = 0; slot < table.size(); ++slot) {
+    const BinId id = table.id(slot);
+    const BinState* bin = d.open_bin_state(id);
     if (bin == nullptr) {
-      return bin_str(view.id) + " has a view but no open state";
+      return bin_str(id) + " has a table slot but no open state";
     }
     RVec sum(d.dim());
     for (ItemId job : bin->active_items()) {
       if (job >= d.jobs_admitted()) {
-        return bin_str(view.id) + " lists unknown job " +
+        return bin_str(id) + " lists unknown job " +
                std::to_string(job);
       }
       const RVec& size = d.items()[job].size;
       for (std::size_t k = 0; k < d.dim(); ++k) sum[k] += size[k];
-      auto [it, fresh] = placed.emplace(job, view.id);
+      auto [it, fresh] = placed.emplace(job, id);
       if (!fresh) {
         return "job " + std::to_string(job) + " active in " +
-               bin_str(it->second) + " and " + bin_str(view.id);
+               bin_str(it->second) + " and " + bin_str(id);
       }
       ++active_in_bins;
     }
     for (std::size_t k = 0; k < d.dim(); ++k) {
       if (std::abs(sum[k] - bin->load()[k]) > kLoadEps) {
         std::ostringstream os;
-        os << bin_str(view.id) << " load drift in dim " << k << ": stored "
+        os << bin_str(id) << " load drift in dim " << k << ": stored "
            << bin->load()[k] << " vs recomputed " << sum[k];
         return os.str();
       }
@@ -57,13 +59,18 @@ std::optional<std::string> PackingInvariantChecker::check(
       // engine admitted can never be rejected here by one ulp.
       if (!fits_under_threshold(sum[k], fits_threshold(bin->capacity()))) {
         std::ostringstream os;
-        os << bin_str(view.id) << " over capacity in dim " << k << ": "
+        os << bin_str(id) << " over capacity in dim " << k << ": "
            << sum[k] << " > " << bin->capacity();
         return os.str();
       }
+      // Policies decide from the table lanes: they must equal the load.
+      if (table.lane(k)[slot] != bin->load()[k]) {
+        return bin_str(id) + " table lane out of sync in dim " +
+               std::to_string(k);
+      }
     }
-    if (view.num_items != bin->num_active()) {
-      return bin_str(view.id) + " view item count out of sync";
+    if (table.latest_departure(slot) != bin->latest_departure()) {
+      return bin_str(id) + " table latest departure out of sync";
     }
   }
 

@@ -147,15 +147,20 @@ void OpenBinTable::ensure_capacity(std::size_t want_slots) {
   stride_ = new_stride;
 }
 
-void OpenBinTable::push_back_zero() {
+void OpenBinTable::push_back_zero(BinId id) {
   ensure_capacity(size_ + 1);
   for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[size_] = 0.0;
+  ids_.push_back(id);
+  latest_departure_.push_back(0.0);
   ++size_;
 }
 
-void OpenBinTable::push_back_raw(const double* load) {
+void OpenBinTable::push_back_raw(BinId id, const double* load,
+                                 Time latest_departure) {
   ensure_capacity(size_ + 1);
   for (std::size_t j = 0; j < dim_; ++j) mutable_lane(j)[size_] = load[j];
+  ids_.push_back(id);
+  latest_departure_.push_back(latest_departure);
   ++size_;
 }
 
@@ -178,12 +183,10 @@ void OpenBinTable::erase_slot(std::size_t slot) {
                  (size_ - slot - 1) * sizeof(double));
     l[size_ - 1] = kPoison;
   }
+  ids_.erase(ids_.begin() + static_cast<std::ptrdiff_t>(slot));
+  latest_departure_.erase(latest_departure_.begin() +
+                          static_cast<std::ptrdiff_t>(slot));
   --size_;
-}
-
-void OpenBinTable::clear() noexcept {
-  std::fill(lanes_.begin(), lanes_.end(), kPoison);
-  size_ = 0;
 }
 
 bool OpenBinTable::fits(std::size_t slot, const double* add) const {
@@ -261,7 +264,7 @@ double OpenBinTable::total_load() const noexcept {
   return total;
 }
 
-double OpenBinTable::measure_slot(std::size_t slot, int measure) const {
+double OpenBinTable::load_measure(std::size_t slot, int measure) const {
   // Mirrors measure_load() on the owning bin's RVec operation for
   // operation: same accumulation order over dimensions, same std::pow
   // calls for L2, so the scalarized load is bit-identical to the AoS
@@ -299,9 +302,8 @@ std::size_t OpenBinTable::find_best_fit(const double* add,
     while (m != 0) {
       const std::size_t slot =
           base + static_cast<std::size_t>(std::countr_zero(m));
-      const double w = measure_slot(slot, measure);
-      // Strict > over ascending slots = earliest-opened wins ties,
-      // exactly like BestFitPolicy::choose over the fitting list.
+      const double w = load_measure(slot, measure);
+      // Strict > over ascending slots: the earliest-opened bin wins ties.
       if (best == npos || w > best_w) {
         best = slot;
         best_w = w;
@@ -324,7 +326,7 @@ std::size_t OpenBinTable::find_worst_fit(const double* add,
     while (m != 0) {
       const std::size_t slot =
           base + static_cast<std::size_t>(std::countr_zero(m));
-      const double w = measure_slot(slot, measure);
+      const double w = load_measure(slot, measure);
       if (best == npos || w < best_w) {
         best = slot;
         best_w = w;

@@ -1,15 +1,16 @@
-// OpenBinTable: structure-of-arrays mirror of the open bins' load vectors.
+// OpenBinTable: the open bins, in opening order, as one structure of
+// arrays -- the only view of them that placement policies read.
 //
-// BinState keeps each bin's load as one RVec (array-of-structures): good
-// for serialization and single-bin updates, but the per-arrival scan
-// touches every open bin and pays a pointer chase through BinView::load
-// plus a cache line per bin. This table stores the SAME doubles
-// transposed: dimension j of all open bins is one contiguous lane,
-// padded to the SIMD width. The Any Fit feasibility scan
-// `load + s(r) <= cap + eps` then tests 4 bins per AVX2 instruction
-// (2 with SSE2), and Best/Worst Fit measures are computed from the lanes
-// with exactly the same scalar operation order as measure_load() on an
-// RVec.
+// Each slot carries the bin's id, the latest departure among its active
+// items, and its load vector. BinState keeps each bin's load as one RVec
+// (array-of-structures): good for serialization and single-bin updates,
+// but the per-arrival scan touches every open bin. This table stores the
+// SAME doubles transposed: dimension j of all open bins is one
+// contiguous lane, padded to the SIMD width. The Any Fit feasibility
+// scan `load + s(r) <= cap + eps` then tests 4 bins per AVX2
+// instruction (2 with SSE2), and Best/Worst Fit measures are computed
+// from the lanes with exactly the same scalar operation order as
+// measure_load() on an RVec.
 //
 // Bit-exactness contract (pinned by tests/golden_packings.inc and the
 // -DDVBP_DISABLE_SIMD CI job): every lane entry holds bit-identical
@@ -24,9 +25,10 @@
 // poisoned with +inf so vector tests can run over them without admitting
 // a phantom bin (+inf + x compares false under <=).
 //
-// Slots are in opening order and match the Dispatcher's views_ array
-// position for position; erase_slot compacts exactly like the
-// Dispatcher's close_slot.
+// The Dispatcher owns the table: it appends a slot when a bin opens,
+// mirrors every load and latest-departure change, and erase_slot()
+// compacts every column when the bin closes, so slot order stays
+// opening order.
 #pragma once
 
 #include <cstddef>
@@ -58,12 +60,13 @@ class OpenBinTable {
   /// (fits_threshold(capacity)).
   double threshold() const noexcept { return threshold_; }
 
-  /// Appends a zero-load slot (a freshly opened bin).
-  void push_back_zero();
+  /// Appends a zero-load slot for bin `id` (a freshly opened bin).
+  void push_back_zero(BinId id);
 
-  /// Appends a slot with the given load bits (checkpoint restore). Copies
-  /// raw values -- no arithmetic -- so restored lanes match load_ exactly.
-  void push_back_raw(const double* load);
+  /// Appends a slot for bin `id` with the given load bits and latest
+  /// departure (checkpoint restore). Copies raw values -- no arithmetic
+  /// -- so restored lanes match load_ exactly.
+  void push_back_raw(BinId id, const double* load, Time latest_departure);
 
   /// load[slot] += add, with the same per-dimension IEEE adds (in
   /// dimension order) as RVec::operator+= on the owning bin.
@@ -73,12 +76,23 @@ class OpenBinTable {
   /// departure path RVec::operator-= followed by clamp_nonnegative().
   void sub_clamped(std::size_t slot, const double* sub);
 
-  /// Removes `slot`, shifting later slots down one (opening order is
-  /// preserved, matching close_slot). One memmove per lane.
+  /// Records the bin's latest departure after an add or a removal.
+  void set_latest_departure(std::size_t slot, Time t) noexcept {
+    latest_departure_[slot] = t;
+  }
+
+  /// Removes `slot`, shifting later slots down one in every column
+  /// (opening order is preserved). One memmove per lane.
   void erase_slot(std::size_t slot);
 
-  /// Drops every slot.
-  void clear() noexcept;
+  /// Id of the bin in `slot`.
+  BinId id(std::size_t slot) const noexcept { return ids_[slot]; }
+
+  /// Latest departure among the active items of the bin in `slot`, as
+  /// BinState::latest_departure() reports it (clairvoyant policies).
+  Time latest_departure(std::size_t slot) const noexcept {
+    return latest_departure_[slot];
+  }
 
   /// Scalar reference predicate for one slot.
   bool fits(std::size_t slot, const double* add) const;
@@ -113,6 +127,10 @@ class OpenBinTable {
   /// identity); routing decisions are unchanged by the SoA rewrite.
   double total_load() const noexcept;
 
+  /// The load measure of `slot` (`measure` as in find_best_fit),
+  /// bit-identical to measure_load() on the owning bin's RVec.
+  double load_measure(std::size_t slot, int measure) const;
+
   /// Lane pointer for dimension j: entry [slot] equals the owning bin's
   /// load()[j], bit for bit. Valid for size() slots.
   const double* lane(std::size_t j) const noexcept {
@@ -125,7 +143,6 @@ class OpenBinTable {
 
  private:
   void ensure_capacity(std::size_t want_slots);
-  double measure_slot(std::size_t slot, int measure) const;
   double* mutable_lane(std::size_t j) noexcept {
     return lanes_.data() + j * stride_;
   }
@@ -136,6 +153,8 @@ class OpenBinTable {
   std::size_t size_ = 0;       // open bins (slots)
   std::size_t stride_ = 0;     // padded slots per lane, multiple of width
   std::vector<double> lanes_;  // dim_ lanes of stride_ doubles each
+  std::vector<BinId> ids_;               // by slot
+  std::vector<Time> latest_departure_;   // by slot
 };
 
 }  // namespace dvbp

@@ -59,11 +59,13 @@ inline std::uint64_t dispatcher_state_hash(const Dispatcher& d) {
     fnv(h, std::bit_cast<std::uint64_t>(rec.closed));
     for (ItemId r : rec.items) fnv(h, r);
   }
-  for (const BinView& view : d.open_views()) {
-    fnv(h, view.id);
-    fnv(h, view.num_items);
-    fnv(h, std::bit_cast<std::uint64_t>(view.latest_departure));
-    for (double c : *view.load) fnv(h, std::bit_cast<std::uint64_t>(c));
+  const OpenBinTable& table = d.open_bin_table();
+  for (std::size_t slot = 0; slot < table.size(); ++slot) {
+    const BinState& bin = *d.open_bin_state(table.id(slot));
+    fnv(h, bin.id());
+    fnv(h, bin.num_active());
+    fnv(h, std::bit_cast<std::uint64_t>(bin.latest_departure()));
+    for (double c : bin.load()) fnv(h, std::bit_cast<std::uint64_t>(c));
   }
   return h;
 }

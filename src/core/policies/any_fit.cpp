@@ -1,31 +1,13 @@
 #include "core/policies/any_fit.hpp"
 
-#include "core/open_bin_table.hpp"
-
 namespace dvbp {
 
 BinId AnyFitPolicy::select_bin(Time now, const Item& item,
-                               std::span<const BinView> open_bins) {
+                               const OpenBinTable& open_bins) {
   fitting_.clear();
-  for (const BinView& b : open_bins) {
-    if (b.fits(item.size)) fitting_.push_back(b);
-  }
+  open_bins.collect_fitting(item.size.data(), fitting_);
   if (fitting_.empty()) return kNoBin;
-  return choose(now, item, std::span<const BinView>(fitting_));
-}
-
-BinId AnyFitPolicy::select_bin_soa(Time now, const Item& item,
-                                   std::span<const BinView> open_bins,
-                                   const OpenBinTable& table) {
-  fit_slots_.clear();
-  table.collect_fitting(item.size.data(), fit_slots_);
-  if (fit_slots_.empty()) return kNoBin;
-  fitting_.clear();
-  fitting_.reserve(fit_slots_.size());
-  for (const std::uint32_t slot : fit_slots_) {
-    fitting_.push_back(open_bins[slot]);
-  }
-  return choose(now, item, std::span<const BinView>(fitting_));
+  return choose(now, item, fitting_, open_bins);
 }
 
 }  // namespace dvbp

@@ -1,14 +1,17 @@
 // AnyFitPolicy: base class enforcing the Any Fit property (paper Sec. 2.2):
 // a new bin is opened only when the arriving item fits in none of the open
-// bins. Concrete subclasses implement choose() over the non-empty set of
-// fitting bins.
+// bins. select_bin() collects the fitting slots with the table's
+// vectorized scan, and concrete subclasses implement choose() over that
+// non-empty set.
 //
-// Next Fit is NOT derived from this base: it restricts its list L to a
-// single current bin (it may open a new bin even though some released bin
-// could hold the item), so it implements Policy directly.
+// First/Last/Best/Worst Fit are Any Fit too, but each reduces to a single
+// table kernel, so they implement Policy directly. Next Fit is not Any
+// Fit: it restricts its list L to a single current bin (it may open a new
+// bin even though some released bin could hold the item).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/policies/policy.hpp"
@@ -18,26 +21,17 @@ namespace dvbp {
 class AnyFitPolicy : public Policy {
  public:
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) final;
-
-  /// Table-driven variant: the fitting set is computed by the table's
-  /// vectorized scan (bit-identical to per-view fits()) and handed to the
-  /// same choose(), so the Any Fit property -- open a new bin only when
-  /// nothing fits -- holds on this path by the same construction.
-  /// Subclasses whose choose() reduces to a single table scan (First/
-  /// Last/Best/Worst Fit) override this again with the direct kernel.
-  BinId select_bin_soa(Time now, const Item& item,
-                       std::span<const BinView> open_bins,
-                       const OpenBinTable& table) override;
+                   const OpenBinTable& open_bins) final;
 
  protected:
-  /// Pick a bin from `fitting` (non-empty; preserves opening order).
+  /// Pick a bin among the slots `fitting` of `open_bins` (non-empty,
+  /// ascending = opening order).
   virtual BinId choose(Time now, const Item& item,
-                       std::span<const BinView> fitting) = 0;
+                       std::span<const std::uint32_t> fitting,
+                       const OpenBinTable& open_bins) = 0;
 
  private:
-  std::vector<BinView> fitting_;           // scratch, reused across arrivals
-  std::vector<std::uint32_t> fit_slots_;   // scratch for the table scan
+  std::vector<std::uint32_t> fitting_;  // scratch, reused across arrivals
 };
 
 }  // namespace dvbp

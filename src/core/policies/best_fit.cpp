@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/open_bin_table.hpp"
 
 namespace dvbp {
 
@@ -28,28 +27,6 @@ double measure_load(const RVec& load, LoadMeasure m) {
       return load.lp(2.0);
   }
   throw std::invalid_argument("measure_load: unknown measure");
-}
-
-BinId BestFitPolicy::choose(Time, const Item&,
-                            std::span<const BinView> fitting) {
-  BinId best = fitting.front().id;
-  double best_load = measure_load(*fitting.front().load, measure_);
-  for (std::size_t i = 1; i < fitting.size(); ++i) {
-    const double w = measure_load(*fitting[i].load, measure_);
-    if (w > best_load) {
-      best_load = w;
-      best = fitting[i].id;
-    }
-  }
-  return best;
-}
-
-BinId BestFitPolicy::select_bin_soa(Time, const Item& item,
-                                    std::span<const BinView> open_bins,
-                                    const OpenBinTable& table) {
-  const std::size_t slot =
-      table.find_best_fit(item.size.data(), static_cast<int>(measure_));
-  return slot == OpenBinTable::npos ? kNoBin : open_bins[slot].id;
 }
 
 }  // namespace dvbp

@@ -6,23 +6,26 @@
 namespace dvbp {
 
 BinId MinExtensionFitPolicy::choose(Time, const Item& item,
-                                    std::span<const BinView> fitting) {
+                                    std::span<const std::uint32_t> fitting,
+                                    const OpenBinTable& open_bins) {
   const Time depart = perceived_departure(item);
-  BinId best = fitting.front().id;
+  const int measure = static_cast<int>(tie_measure_);
+  std::uint32_t best = fitting.front();
   double best_ext =
-      std::max(0.0, depart - fitting.front().latest_departure);
-  double best_load = measure_load(*fitting.front().load, tie_measure_);
-  for (std::size_t i = 1; i < fitting.size(); ++i) {
-    const double ext = std::max(0.0, depart - fitting[i].latest_departure);
-    const double load = measure_load(*fitting[i].load, tie_measure_);
+      std::max(0.0, depart - open_bins.latest_departure(best));
+  double best_load = open_bins.load_measure(best, measure);
+  for (const std::uint32_t slot : fitting.subspan(1)) {
+    const double ext =
+        std::max(0.0, depart - open_bins.latest_departure(slot));
+    const double load = open_bins.load_measure(slot, measure);
     if (ext < best_ext - kTimeEps ||
         (ext <= best_ext + kTimeEps && load > best_load)) {
       best_ext = std::min(best_ext, ext);
       best_load = load;
-      best = fitting[i].id;
+      best = slot;
     }
   }
-  return best;
+  return open_bins.id(best);
 }
 
 Time MinExtensionFitPolicy::perceived_departure(const Item& item) {

@@ -5,13 +5,15 @@
 
 namespace dvbp {
 
-BinId ClassRestrictedFitPolicy::select_bin(
-    Time, const Item& item, std::span<const BinView> open_bins) {
+BinId ClassRestrictedFitPolicy::select_bin(Time, const Item& item,
+                                           const OpenBinTable& open_bins) {
   const std::int64_t cls = item_class(item);
-  for (const BinView& b : open_bins) {  // opening order = First Fit
-    auto it = bin_class_.find(b.id);
-    if (it != bin_class_.end() && it->second == cls && b.fits(item.size)) {
-      return b.id;
+  // Slot order is opening order, so this is First Fit within the class.
+  for (std::size_t slot = 0; slot < open_bins.size(); ++slot) {
+    const auto it = bin_class_.find(open_bins.id(slot));
+    if (it != bin_class_.end() && it->second == cls &&
+        open_bins.fits(slot, item.size.data())) {
+      return it->first;
     }
   }
   return kNoBin;

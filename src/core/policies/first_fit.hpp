@@ -3,22 +3,20 @@
 // (Thm 3).
 #pragma once
 
-#include "core/policies/any_fit.hpp"
+#include "core/policies/policy.hpp"
 
 namespace dvbp {
 
-class FirstFitPolicy final : public AnyFitPolicy {
+class FirstFitPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "FirstFit"; }
 
   /// Whole decision in one vectorized scan: earliest fitting slot.
-  BinId select_bin_soa(Time now, const Item& item,
-                       std::span<const BinView> open_bins,
-                       const OpenBinTable& table) override;
-
- protected:
-  BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+  BinId select_bin(Time, const Item& item,
+                   const OpenBinTable& open_bins) override {
+    const std::size_t slot = open_bins.find_first_fit(item.size.data());
+    return slot == OpenBinTable::npos ? kNoBin : open_bins.id(slot);
+  }
 };
 
 }  // namespace dvbp

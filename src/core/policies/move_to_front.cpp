@@ -15,23 +15,25 @@ std::vector<BinId> MoveToFrontPolicy::mru_order() const {
 }
 
 BinId MoveToFrontPolicy::choose(Time, const Item&,
-                                std::span<const BinView> fitting) {
+                                std::span<const std::uint32_t> fitting,
+                                const OpenBinTable& open_bins) {
   // The first fitting bin in MRU order is the fitting bin whose
   // move-to-front stamp is largest (stamps are a monotone clock bumped
   // whenever a bin reaches the front, so MRU order is descending stamp).
   BinId best = kNoBin;
   std::uint64_t best_stamp = 0;
-  for (const BinView& b : fitting) {
-    const std::uint64_t s = b.id < stamp_.size() ? stamp_[b.id] : 0;
+  for (const std::uint32_t slot : fitting) {
+    const BinId id = open_bins.id(slot);
+    const std::uint64_t s = id < stamp_.size() ? stamp_[id] : 0;
     if (s > best_stamp) {
       best_stamp = s;
-      best = b.id;
+      best = id;
     }
   }
   if (best != kNoBin) return best;
   // Every open fitting bin must be tracked in the MRU list.
   assert(false && "MoveToFront: fitting bin missing from MRU list");
-  return fitting.front().id;
+  return open_bins.id(fitting.front());
 }
 
 void MoveToFrontPolicy::on_open(Time now, BinId bin, const Item& first) {

@@ -66,7 +66,8 @@ class MoveToFrontPolicy final : public AnyFitPolicy {
 
  protected:
   BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+               std::span<const std::uint32_t> fitting,
+               const OpenBinTable& open_bins) override;
 
  private:
   void move_to_front(Time now, BinId bin, ItemId cause);

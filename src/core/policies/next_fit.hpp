@@ -19,7 +19,7 @@ class NextFitPolicy final : public Policy {
   std::string_view name() const noexcept override { return "NextFit"; }
 
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) override;
+                   const OpenBinTable& open_bins) override;
   void on_open(Time now, BinId bin, const Item& first) override;
   void on_depart(Time now, BinId bin, const Item& item, bool closed) override;
   void reset() override;

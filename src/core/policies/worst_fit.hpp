@@ -4,12 +4,11 @@
 
 #include <string>
 
-#include "core/policies/any_fit.hpp"
 #include "core/policies/best_fit.hpp"
 
 namespace dvbp {
 
-class WorstFitPolicy final : public AnyFitPolicy {
+class WorstFitPolicy final : public Policy {
  public:
   explicit WorstFitPolicy(LoadMeasure measure = LoadMeasure::kLinf)
       : measure_(measure),
@@ -19,16 +18,14 @@ class WorstFitPolicy final : public AnyFitPolicy {
   std::string_view name() const noexcept override { return name_; }
   LoadMeasure measure() const noexcept { return measure_; }
 
-  /// Branch-light table scan: vectorized feasibility, measure computed
-  /// from the lanes with measure_load()'s exact operation order.
-  BinId select_bin_soa(Time now, const Item& item,
-                       std::span<const BinView> open_bins,
-                       const OpenBinTable& table) override;
-
- protected:
-  /// Least-loaded fitting bin; ties broken toward the earliest opened.
-  BinId choose(Time now, const Item& item,
-               std::span<const BinView> fitting) override;
+  /// Least-loaded fitting bin, ties broken toward the earliest opened
+  /// (one table scan, as in BestFitPolicy).
+  BinId select_bin(Time, const Item& item,
+                   const OpenBinTable& open_bins) override {
+    const std::size_t slot = open_bins.find_worst_fit(
+        item.size.data(), static_cast<int>(measure_));
+    return slot == OpenBinTable::npos ? kNoBin : open_bins.id(slot);
+  }
 
  private:
   LoadMeasure measure_;

@@ -1,13 +1,13 @@
 // Slab/pool allocators for the placement hot path.
 //
 // The event loop used to pay one allocator round-trip per bin open (vector
-// reallocation + BinView repatching) and two per item lifetime (the
-// active_/departures_ vectors inside BinState). Both disappear here:
+// reallocation) and two per item lifetime (the active_/departures_
+// vectors inside BinState). Both disappear here:
 //
 //  * StableVector<T>: a chunked slab. push_back never moves existing
 //    elements, so pointers and references into it are stable for the life
-//    of the container -- BinState addresses handed to BinView::load, and
-//    Item addresses handed to policies, never dangle or need repatching.
+//    of the container -- BinState addresses returned by open_bin_state(),
+//    and Item addresses handed to policies, never dangle.
 //    Indexing is two loads (chunk pointer, then element); chunks are
 //    allocated geometrically like vector's growth but never copied.
 //

@@ -47,28 +47,31 @@ std::size_t Rebalancer::on_departure(Time now) {
 // survivors (ties: lowest id), survivors relocated first-fit over the
 // other open bins in opening order against scratch loads. All-or-nothing.
 bool Rebalancer::plan_close(Plan& plan) const {
-  const auto views = dispatcher_.open_views();
-  if (views.size() < 2) return false;
+  const OpenBinTable& table = dispatcher_.open_bin_table();
+  if (table.size() < 2) return false;
+  const auto open = [&](std::size_t slot) {
+    return dispatcher_.open_bin_state(table.id(slot));
+  };
 
   std::vector<std::size_t> candidates;
-  for (std::size_t slot = 0; slot < views.size(); ++slot) {
-    const std::size_t n = views[slot].num_items;
+  for (std::size_t slot = 0; slot < table.size(); ++slot) {
+    const std::size_t n = open(slot)->num_active();
     if (n >= 1 && n <= config_.max_survivors &&
         static_cast<double>(n) <= credits_ + kBudgetEps) {
       candidates.push_back(slot);
     }
   }
   std::sort(candidates.begin(), candidates.end(),
-            [&views](std::size_t a, std::size_t b) {
-              if (views[a].num_items != views[b].num_items) {
-                return views[a].num_items < views[b].num_items;
+            [&open](std::size_t a, std::size_t b) {
+              if (open(a)->num_active() != open(b)->num_active()) {
+                return open(a)->num_active() < open(b)->num_active();
               }
-              return views[a].id < views[b].id;
+              return open(a)->id() < open(b)->id();
             });
 
   std::vector<RVec> scratch;
   for (std::size_t c : candidates) {
-    const BinState* source = dispatcher_.open_bin_state(views[c].id);
+    const BinState* source = open(c);
     const std::vector<ItemId>& jobs = source->active_items();
 
     double volume = 0.0;
@@ -76,7 +79,9 @@ bool Rebalancer::plan_close(Plan& plan) const {
     if (volume > volume_credits_ + kBudgetEps) continue;
 
     scratch.clear();
-    for (const BinView& view : views) scratch.push_back(*view.load);
+    for (std::size_t slot = 0; slot < table.size(); ++slot) {
+      scratch.push_back(open(slot)->load());
+    }
 
     plan.jobs.assign(jobs.begin(), jobs.end());
     plan.targets.clear();
@@ -84,10 +89,10 @@ bool Rebalancer::plan_close(Plan& plan) const {
     for (JobId job : plan.jobs) {
       const RVec& size = dispatcher_.items()[job].size;
       BinId target = kNoBin;
-      for (std::size_t slot = 0; slot < views.size(); ++slot) {
+      for (std::size_t slot = 0; slot < table.size(); ++slot) {
         if (slot == c) continue;
-        if (scratch[slot].fits_with_capacity(size, views[slot].capacity)) {
-          target = views[slot].id;
+        if (scratch[slot].fits_with_capacity(size, open(slot)->capacity())) {
+          target = table.id(slot);
           for (std::size_t k = 0; k < size.dim(); ++k) {
             scratch[slot][k] += size[k];
           }
@@ -102,7 +107,7 @@ bool Rebalancer::plan_close(Plan& plan) const {
     }
     if (!feasible) continue;
 
-    plan.source = views[c].id;
+    plan.source = source->id();
     plan.volume = volume;
     return true;
   }

@@ -196,6 +196,67 @@ bool wants_migration(const harness::Args& args) {
   return args.has("migrate-budget") || args.has("migrate-volume");
 }
 
+/// The batch run main() performs: the first mode whose trigger flag is
+/// given (--tenants, --shards, --journal-dir/--recover, --migrate-*).
+enum class BatchMode { kTenants, kSharded, kDurable, kMigration, kSerial };
+
+BatchMode pick_batch_mode(const harness::Args& args) {
+  if (args.has("tenants")) return BatchMode::kTenants;
+  if (args.has("shards")) return BatchMode::kSharded;
+  if (!args.get("journal-dir", "").empty() || args.get_bool("recover")) {
+    return BatchMode::kDurable;
+  }
+  if (wants_migration(args)) return BatchMode::kMigration;
+  return BatchMode::kSerial;
+}
+
+/// Only one batch mode runs, so a flag that mode does not read would be
+/// dropped silently (e.g. --shards next to --tenants). Each such flag is
+/// a CliError (exit 2) naming it, before any work starts.
+void reject_unread_flags(const harness::Args& args, BatchMode mode) {
+  // Read by every mode: the instance, the policy and the outputs.
+  static const std::set<std::string> kEveryMode{
+      "generator", "trace", "n",    "d",      "mu",       "span",
+      "bin-size",  "seed",  "trial", "policy", "policy-seed",
+      "capacity",  "metrics-out",    "quiet",  "help"};
+  static const std::set<std::string> kDurable{
+      "journal-dir", "checkpoint-every", "recover", "fsync",
+      "fsync-interval", "migrate-budget", "migrate-volume"};
+  std::set<std::string> reads;
+  const char* name = "serial";
+  switch (mode) {
+    case BatchMode::kTenants:
+      name = "tenant";
+      reads = {"tenants", "fairshare", "alpha", "capacity-units",
+               "credits", "settle-every", "price", "inflate-tenant",
+               "inflate-factor", "no-arbiter", "trace-out"};
+      break;
+    case BatchMode::kSharded:
+      name = "sharded";
+      reads = kDurable;
+      reads.insert({"shards", "router"});
+      break;
+    case BatchMode::kDurable:
+      name = "durable";
+      reads = kDurable;
+      break;
+    case BatchMode::kMigration:
+      name = "migration";
+      reads = {"migrate-budget", "migrate-volume", "trace-out",
+               "check-roundtrip"};
+      break;
+    case BatchMode::kSerial:
+      reads = {"trace-out", "check-roundtrip"};
+      break;
+  }
+  for (const std::string& key : args.keys()) {
+    if (!kEveryMode.count(key) && !reads.count(key)) {
+      throw harness::CliError("--" + key + " is not read by the " + name +
+                              " run (see --help)");
+    }
+  }
+}
+
 Instance load_instance(const harness::Args& args) {
   const std::string trace_path = args.get("trace", "");
   if (!trace_path.empty()) {
@@ -235,12 +296,6 @@ Instance load_instance(const harness::Args& args) {
 /// so at --shards=1 the resulting cost matches the serial path exactly
 /// (pinned by tests/test_sharded_parity.cpp).
 int run_sharded(const harness::Args& args, const Instance& inst) {
-  if (!args.get("trace-out", "").empty() ||
-      args.get_bool("check-roundtrip")) {
-    throw std::runtime_error(
-        "--trace-out/--check-roundtrip are serial-only (decision traces "
-        "are per-shard; see docs/ARCHITECTURE.md)");
-  }
   const auto shards = static_cast<std::size_t>(args.get_int("shards", 1));
   const std::string policy = args.get("policy", "MoveToFront");
   const auto policy_seed =
@@ -386,11 +441,6 @@ int run_sharded(const harness::Args& args, const Instance& inst) {
 /// killed run can be resumed. --recover restores from the journal
 /// directory, reports what recovery found, and exits without ingesting.
 int run_durable(const harness::Args& args, const Instance& inst) {
-  if (!args.get("trace-out", "").empty() ||
-      args.get_bool("check-roundtrip")) {
-    throw std::runtime_error(
-        "--trace-out/--check-roundtrip do not apply to the durable path");
-  }
   const std::string journal_dir = args.get("journal-dir", "");
   if (journal_dir.empty()) {
     throw harness::CliError("--recover requires --journal-dir");
@@ -1092,14 +1142,17 @@ int main(int argc, char** argv) {
                               "' (see --help)");
     }
     reject_unknown_flags(args);
+    const BatchMode mode = pick_batch_mode(args);
+    reject_unread_flags(args, mode);
     validate_output_paths(args);
     const Instance inst = load_instance(args);
-    if (args.has("tenants")) return run_tenants(args, inst);
-    if (args.has("shards")) return run_sharded(args, inst);
-    if (!args.get("journal-dir", "").empty() || args.get_bool("recover")) {
-      return run_durable(args, inst);
+    switch (mode) {
+      case BatchMode::kTenants: return run_tenants(args, inst);
+      case BatchMode::kSharded: return run_sharded(args, inst);
+      case BatchMode::kDurable: return run_durable(args, inst);
+      case BatchMode::kMigration: return run_migration(args, inst);
+      case BatchMode::kSerial: break;
     }
-    if (wants_migration(args)) return run_migration(args, inst);
     const std::string policy = args.get("policy", "MoveToFront");
     const std::string metrics_out = args.get("metrics-out", "");
     const std::string trace_out = args.get("trace-out", "");

@@ -25,7 +25,6 @@ TEST(BinState, AddAccumulatesLoad) {
   EXPECT_EQ(bin.num_active(), 2u);
   EXPECT_NEAR(bin.load()[0], 0.9, 1e-12);
   EXPECT_NEAR(bin.load()[1], 0.6, 1e-12);
-  EXPECT_EQ(bin.total_packed(), 2u);
   EXPECT_DOUBLE_EQ(bin.latest_departure(), 3.0);
 }
 
@@ -51,8 +50,6 @@ TEST(BinState, RemoveUpdatesLoadAndLatestDeparture) {
   EXPECT_TRUE(bin.remove(items[0]));
   EXPECT_TRUE(bin.is_empty());
   EXPECT_TRUE(bin.load().is_nonnegative());
-  // total_packed survives removals (lifetime counter).
-  EXPECT_EQ(bin.total_packed(), 2u);
 }
 
 // ---- Packing auditor ----------------------------------------------------

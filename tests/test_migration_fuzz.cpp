@@ -178,9 +178,9 @@ std::optional<std::string> apply_stream(const std::vector<FuzzOp>& ops,
         const JobId job = id_map[op.job];
         if (!dispatcher.is_evicted(job)) continue;
         BinId target = kNoBin;
-        const auto views = dispatcher.open_views();
-        if (!op.fresh_bin && !views.empty()) {
-          target = views[op.target % views.size()].id;
+        const OpenBinTable& open = dispatcher.open_bin_table();
+        if (!op.fresh_bin && !open.empty()) {
+          target = open.id(op.target % open.size());
         }
         try {
           dispatcher.replace(now, job, target);
@@ -247,10 +247,10 @@ TEST(MigrationFuzz, StreamsWindDownToAnEmptyConsistentState) {
         break;
       case FuzzOp::Kind::kReplace:
         try {
-          const auto views = dispatcher.open_views();
-          BinId target = (op.fresh_bin || views.empty())
+          const OpenBinTable& open = dispatcher.open_bin_table();
+          BinId target = (op.fresh_bin || open.empty())
                              ? kNoBin
-                             : views[op.target % views.size()].id;
+                             : open.id(op.target % open.size());
           dispatcher.replace(now, id_map.at(op.job), target);
         } catch (const PolicyViolation&) {
           dispatcher.replace(now, id_map.at(op.job), kNoBin);

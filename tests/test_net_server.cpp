@@ -62,7 +62,7 @@ class SlowPolicy final : public Policy {
     return inner_->is_clairvoyant();
   }
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) override {
+                   const OpenBinTable& open_bins) override {
     std::this_thread::sleep_for(delay_);
     return inner_->select_bin(now, item, open_bins);
   }

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -111,7 +112,7 @@ TEST_F(HarnessCli, UnwritableOutputPathsFailFastWithExitCode2) {
   // uid (unlike permission-based setups, which root walks through).
   const std::string blocker = ::testing::TempDir() + "obs_cli_blocker";
   { std::ofstream(blocker) << "x"; }
-  for (const std::string flags :
+  for (const std::string& flags :
        {"--quiet --metrics-out=" + blocker + "/m.json",
         "--quiet --trace-out=" + blocker + "/t.jsonl",
         "--quiet --journal-dir=" + blocker + "/x/wal"}) {
@@ -120,6 +121,23 @@ TEST_F(HarnessCli, UnwritableOutputPathsFailFastWithExitCode2) {
     EXPECT_EQ(WEXITSTATUS(rc), 2) << flags;
   }
   std::remove(blocker.c_str());
+}
+
+// main() runs one batch mode, so a flag that mode does not read must fail
+// the run with exit 2 rather than be dropped (no journal may appear).
+TEST_F(HarnessCli, FlagsTheChosenModeDoesNotReadExitWithCode2) {
+  const std::string journal = ::testing::TempDir() + "obs_cli_unread_wal";
+  for (const std::string& flags :
+       {"--quiet --n=50 --tenants=4 --shards=4 --journal-dir=" + journal +
+            " --migrate-budget=1",
+        std::string("--quiet --n=50 --router=least-usage --fsync=always "
+                    "--alpha=0.5")}) {
+    const int rc = run(flags + " 2>/dev/null");
+    ASSERT_TRUE(WIFEXITED(rc)) << flags;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << flags;
+  }
+  EXPECT_FALSE(std::filesystem::exists(journal))
+      << "rejected run created " << journal;
 }
 
 }  // namespace

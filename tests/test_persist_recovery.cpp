@@ -368,6 +368,7 @@ TEST(CrashFuzz, MigrationTailEveryByteOffsetTruncateAndCorrupt) {
           reference.depart(rec.time, rec.job);
           break;
         case persist::OpKind::kAdvance:
+        case persist::OpKind::kTenantCredits:
           break;  // never issued by this run
         case persist::OpKind::kEvict:
           reference.evict(rec.time, rec.job);

@@ -8,14 +8,19 @@
 // lane write dies loudly instead of corrupting a later placement.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/invariants.hpp"
 #include "core/open_bin_table.hpp"
+#include "core/policies/best_fit.hpp"
 #include "core/policies/registry.hpp"
 #include "core/pool.hpp"
+#include "core/serial.hpp"
 #include "stats/rng.hpp"
 
 namespace dvbp {
@@ -177,6 +182,131 @@ TEST(PoolChurn, UsagePoolRecyclesReleasedNodes) {
   EXPECT_EQ(c, a);  // LIFO reuse of the freed slot
   EXPECT_EQ(pool.slab_size(), slab);
   EXPECT_EQ(pool[c].item, 3u);
+}
+
+// erase_slot compacts the id and latest-departure columns together with
+// the load lanes. Bin b's slot holds id 100+b, latest departure 10+b and
+// load 0.01*b + 0.001*j in dimension j, so after erasing the first, a
+// middle and the last slot every survivor must still carry its own
+// bin's values in all three. 70 slots straddle the 64-slot scan chunk.
+TEST(PoolChurn, EraseSlotKeepsIdDepartureAndLanesAligned) {
+  constexpr std::size_t kDim = 3;
+  const auto load_of = [](BinId b, std::size_t j) {
+    return 0.01 * b + 0.001 * static_cast<double>(j);
+  };
+  OpenBinTable table(kDim);
+  std::vector<BinId> bins;  // expected bin of each slot
+  for (BinId b = 0; b < 70; ++b) {
+    const double load[kDim] = {load_of(b, 0), load_of(b, 1), load_of(b, 2)};
+    table.push_back_raw(100 + b, load, 10.0 + b);
+    bins.push_back(b);
+  }
+  const auto expect_aligned = [&] {
+    ASSERT_EQ(table.size(), bins.size());
+    for (std::size_t slot = 0; slot < bins.size(); ++slot) {
+      const BinId b = bins[slot];
+      EXPECT_EQ(table.id(slot), 100 + b) << "slot " << slot;
+      EXPECT_EQ(table.latest_departure(slot), 10.0 + b) << "slot " << slot;
+      RVec load(kDim);
+      for (std::size_t j = 0; j < kDim; ++j) {
+        EXPECT_EQ(table.lane(j)[slot], load_of(b, j)) << "slot " << slot;
+        load[j] = load_of(b, j);
+      }
+      // load_measure is measure_load() computed from the lanes.
+      for (const LoadMeasure m :
+           {LoadMeasure::kLinf, LoadMeasure::kL1, LoadMeasure::kL2}) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      table.load_measure(slot, static_cast<int>(m))),
+                  std::bit_cast<std::uint64_t>(measure_load(load, m)))
+            << "slot " << slot << " " << load_measure_name(m);
+      }
+    }
+  };
+  expect_aligned();
+  for (const std::string where : {"first", "middle", "last"}) {
+    SCOPED_TRACE("erase the " + where + " slot");
+    const std::size_t slot = where == "first"    ? 0
+                             : where == "middle" ? bins.size() / 2
+                                                 : bins.size() - 1;
+    table.erase_slot(slot);
+    bins.erase(bins.begin() + static_cast<std::ptrdiff_t>(slot));
+    expect_aligned();
+  }
+  // The vacated tail is poisoned: nothing past size() can fit.
+  const double nothing[kDim] = {0.0, 0.0, 0.0};
+  EXPECT_EQ(table.find_last_fit(nothing), table.size() - 1);
+
+  // A freshly opened bin starts at zero load and departure 0 until the
+  // owner records its first item.
+  table.push_back_zero(7);
+  const std::size_t fresh = table.size() - 1;
+  EXPECT_EQ(table.id(fresh), 7u);
+  EXPECT_EQ(table.latest_departure(fresh), 0.0);
+  for (std::size_t j = 0; j < kDim; ++j) EXPECT_EQ(table.lane(j)[fresh], 0.0);
+}
+
+// Checkpoint restore rebuilds the table with push_back_raw: after a
+// churned run, the restored dispatcher's table matches the original slot
+// for slot in id, latest departure and exact load bits.
+TEST(PoolChurn, RestoredTableMatchesSlotForSlot) {
+  constexpr std::size_t kDim = 4;
+  PolicyPtr policy = make_policy("MinExtensionFit", 3);
+  Dispatcher a(kDim, *policy);
+  Xoshiro256pp rng(0x5EED);
+  std::vector<JobId> live;
+  Time now = 0.0;
+  for (int step = 0; step < 1500; ++step) {
+    now += rng.uniform(0.0, 0.1);
+    if (!live.empty() && (live.size() > 40 || rng.uniform() < 0.45)) {
+      const std::size_t pick =
+          static_cast<std::size_t>(rng.uniform_int(0, live.size() - 1));
+      a.depart(now, live[pick]);
+      live[pick] = live.back();
+      live.pop_back();
+    } else {
+      live.push_back(
+          a.arrive(now, random_size(rng, kDim), now + rng.uniform(1, 5)).job);
+    }
+  }
+  ASSERT_GT(a.open_bins(), 2u);
+
+  serial::Writer out;
+  a.save_state(out);
+  PolicyPtr other = make_policy("MinExtensionFit", 3);
+  Dispatcher b(kDim, *other);
+  serial::Reader in(out.bytes());
+  b.restore_state(in);
+
+  const OpenBinTable& ta = a.open_bin_table();
+  const OpenBinTable& tb = b.open_bin_table();
+  ASSERT_EQ(tb.size(), ta.size());
+  for (std::size_t slot = 0; slot < ta.size(); ++slot) {
+    EXPECT_EQ(tb.id(slot), ta.id(slot));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tb.latest_departure(slot)),
+              std::bit_cast<std::uint64_t>(ta.latest_departure(slot)));
+    for (std::size_t j = 0; j < kDim; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(tb.lane(j)[slot]),
+                std::bit_cast<std::uint64_t>(ta.lane(j)[slot]));
+    }
+  }
+  for (const Dispatcher* d : {&a, &b}) {
+    PackingInvariantChecker checker;
+    const auto violation = checker.check(*d);
+    EXPECT_FALSE(violation.has_value()) << *violation;
+  }
+}
+
+// The fits kernel the runtime dispatch picked. The no-simd-parity CI job
+// builds with -DDVBP_DISABLE_SIMD=ON; this is what proves its golden
+// hashes ran on the scalar kernel rather than on a SIMD one.
+TEST(PoolChurn, ActiveKernelMatchesTheBuild) {
+#if defined(DVBP_DISABLE_SIMD)
+  EXPECT_STREQ(OpenBinTable::active_kernel(), "scalar");
+#elif defined(__x86_64__)
+  EXPECT_STRNE(OpenBinTable::active_kernel(), "scalar");
+#else
+  GTEST_SKIP() << "no SIMD kernel on this architecture";
+#endif
 }
 
 }  // namespace

@@ -195,7 +195,7 @@ class SlowPolicy final : public Policy {
       : inner_(make_policy("FirstFit", seed)) {}
   std::string_view name() const noexcept override { return "SlowFirstFit"; }
   BinId select_bin(Time now, const Item& item,
-                   std::span<const BinView> open_bins) override {
+                   const OpenBinTable& open_bins) override {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     return inner_->select_bin(now, item, open_bins);
   }

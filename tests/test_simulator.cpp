@@ -104,7 +104,7 @@ TEST(Simulator, MaxOpenBins) {
 class EvilUnknownBinPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "EvilUnknown"; }
-  BinId select_bin(Time, const Item&, std::span<const BinView>) override {
+  BinId select_bin(Time, const Item&, const OpenBinTable&) override {
     return 12345;  // never a valid open bin
   }
 };
@@ -113,9 +113,9 @@ class EvilOverstuffPolicy final : public Policy {
  public:
   std::string_view name() const noexcept override { return "EvilOverstuff"; }
   BinId select_bin(Time, const Item&,
-                   std::span<const BinView> open_bins) override {
+                   const OpenBinTable& open_bins) override {
     // Always pick the first open bin, whether or not the item fits.
-    return open_bins.empty() ? kNoBin : open_bins.front().id;
+    return open_bins.empty() ? kNoBin : open_bins.id(0);
   }
 };
 
