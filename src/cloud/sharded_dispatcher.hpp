@@ -22,7 +22,7 @@
 // SIMD feasibility scan and the pooled usage-node recycling are per-shard
 // and share no cache lines across workers. The least-usage router's
 // load_snapshot is refreshed from the shard table's contiguous lanes
-// (Dispatcher::total_active_load), not by walking BinState objects.
+// (Dispatcher::total_active_load).
 //
 // Timestamps: each worker applies its queue in FIFO order and clamps event
 // times to be monotone within the shard (an op whose timestamp lags the

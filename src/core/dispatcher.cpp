@@ -11,12 +11,11 @@ namespace dvbp {
 
 Dispatcher::Dispatcher(std::size_t dim, Policy& policy, double bin_capacity,
                        obs::Observer* observer)
-    : dim_(dim), policy_(policy), capacity_(bin_capacity), obs_(observer),
-      table_(dim, bin_capacity) {
+    : dim_(dim), policy_(policy), obs_(observer), table_(dim, bin_capacity) {
   if (dim_ == 0) {
     throw std::invalid_argument("Dispatcher: dim must be >= 1");
   }
-  if (capacity_ < 1.0) {
+  if (bin_capacity < 1.0) {
     throw std::invalid_argument("Dispatcher: bin_capacity must be >= 1");
   }
   policy_.reset();
@@ -153,43 +152,41 @@ BinId Dispatcher::replace(Time now, JobId job, BinId target) {
 }
 
 BinId Dispatcher::open_bin(Time now, JobId job) {
-  const BinId id = static_cast<BinId>(bins_.size());
-  BinState& bin = bins_.emplace_back(id, dim_, now, capacity_, &usage_pool_);
+  const BinId id = static_cast<BinId>(records_.size());
   records_.push_back(BinRecord{id, now, now, {}});
-  const std::size_t slot = table_.size();
-  slot_of_.push_back(static_cast<std::uint32_t>(slot));
+  active_.emplace_back();
+  const std::uint32_t slot = static_cast<std::uint32_t>(table_.size());
+  slot_of_.push_back(slot);
   table_.push_back_zero(id);
   if (obs_ != nullptr) obs_->on_open(now, id);
-  const Item& item = items_[job];
-  bin.add(item);
-  table_.add(slot, item.size.data());
-  table_.set_latest_departure(slot, bin.latest_departure());
-  records_[id].items.push_back(job);
-  assignment_[job] = id;
-  last_bin_[job] = id;
-  policy_.on_open(now, id, item);
+  add_to(id, slot, job);
+  policy_.on_open(now, id, items_[job]);
   return id;
 }
 
 void Dispatcher::pack_into(Time now, BinId target, JobId job) {
-  if (target >= bins_.size() || slot_of_[target] == kNoSlot) {
+  if (!is_open(target)) {
     throw PolicyViolation("Dispatcher: bin " + std::to_string(target) +
                           " is not open");
   }
   const std::uint32_t slot = slot_of_[target];
-  BinState& bin = bins_[target];
-  const Item& item = items_[job];
-  if (!bin.fits(item.size)) {
+  if (!table_.fits(slot, items_[job].size.data())) {
     throw PolicyViolation("Dispatcher: bin " + std::to_string(target) +
                           " cannot hold job " + std::to_string(job));
   }
-  bin.add(item);
+  add_to(target, slot, job);
+  policy_.on_pack(now, target, items_[job]);
+}
+
+void Dispatcher::add_to(BinId id, std::uint32_t slot, JobId job) {
+  const Item& item = items_[job];
   table_.add(slot, item.size.data());
-  table_.set_latest_departure(slot, bin.latest_departure());
-  records_[target].items.push_back(job);
-  assignment_[job] = target;
-  last_bin_[job] = target;
-  policy_.on_pack(now, target, item);
+  table_.set_latest_departure(
+      slot, std::max(table_.latest_departure(slot), item.departure));
+  usage_pool_.append(active_[id], job, item.departure);
+  records_[id].items.push_back(job);
+  assignment_[job] = id;
+  last_bin_[job] = id;
 }
 
 Dispatcher::Eviction Dispatcher::remove_job(Time now, JobId job,
@@ -199,19 +196,26 @@ Dispatcher::Eviction Dispatcher::remove_job(Time now, JobId job,
   if (slot == kNoSlot) {
     throw std::logic_error("Dispatcher: job's bin is not open");
   }
-  BinState& bin = bins_[bin_id];
   const Item& item = items_[job];
-  const bool emptied = bin.remove(item);
+  UsagePool::List& active = active_[bin_id];
+  const Time gone = usage_pool_.erase(active, job);
   assignment_[job] = kNoBin;
+  const bool emptied = active.size == 0;
   if (emptied) {
     records_[bin_id].closed = now;
     closed_usage_ += records_[bin_id].usage_time();
     close_slot(slot);
   } else {
-    // Mirror the load update on the table lane with the identical
-    // subtract-then-clamp the RVec path just performed.
     table_.sub_clamped(slot, item.size.data());
-    table_.set_latest_departure(slot, bin.latest_departure());
+    // Only a departing maximum forces a rescan; departures come in time
+    // order, so this fires mostly on ties with the maximum.
+    if (gone >= table_.latest_departure(slot)) {
+      Time latest = 0.0;
+      usage_pool_.for_each(active, [&latest](const UsageNode& n) {
+        latest = std::max(latest, n.departure);
+      });
+      table_.set_latest_departure(slot, latest);
+    }
   }
   if (obs_ != nullptr) {
     if (evicting) {
@@ -219,7 +223,7 @@ Dispatcher::Eviction Dispatcher::remove_job(Time now, JobId job,
     } else {
       obs_->on_depart(now, job, bin_id, emptied);
     }
-    if (emptied) obs_->on_close(now, bin_id, bin.opened_at());
+    if (emptied) obs_->on_close(now, bin_id, records_[bin_id].opened);
   }
   policy_.on_depart(now, bin_id, item, emptied);
   return Eviction{bin_id, emptied};
@@ -246,10 +250,13 @@ void Dispatcher::close_slot(std::uint32_t slot) {
   }
 }
 
-double Dispatcher::total_active_load() const noexcept {
-  // Served from the SoA table: no BinState chunk lookup or RVec data()
-  // indirection per bin, same summation order (see total_load()).
-  return table_.total_load();
+std::vector<JobId> Dispatcher::active_items(BinId id) const {
+  std::vector<JobId> jobs;
+  if (id >= active_.size()) return jobs;
+  jobs.reserve(active_[id].size);
+  usage_pool_.for_each(active_[id],
+                       [&jobs](const UsageNode& n) { jobs.push_back(n.item); });
+  return jobs;
 }
 
 BinId Dispatcher::bin_of(JobId job) const {
@@ -271,7 +278,7 @@ constexpr std::uint64_t kStateV3Magic = 0xFFFFFFFF00000003ull;
 void Dispatcher::save_state(serial::Writer& out) const {
   out.u64(kStateV3Magic);
   out.u64(dim_);
-  out.f64(capacity_);
+  out.f64(table_.capacity());
   out.f64(now_);
   out.u8(started_ ? 1 : 0);
   out.u64(active_jobs_);
@@ -298,16 +305,26 @@ void Dispatcher::save_state(serial::Writer& out) const {
     for (ItemId r : rec.items) out.u32(r);
   }
 
+  // Per open bin, in slot order: id, load bits, active list, packed
+  // count, latest departure -- the layout every earlier checkpoint used.
   out.u64(table_.size());
   for (std::size_t slot = 0; slot < table_.size(); ++slot) {
     const BinId id = table_.id(slot);
     out.u64(id);
-    bins_[id].save_state(out);
+    out.u64(dim_);
+    for (std::size_t j = 0; j < dim_; ++j) out.f64(table_.lane(j)[slot]);
+    out.u64(active_[id].size);
+    usage_pool_.for_each(active_[id], [&out](const UsageNode& n) {
+      out.u32(n.item);
+      out.f64(n.departure);
+    });
+    out.u64(records_[id].items.size());
+    out.f64(table_.latest_departure(slot));
   }
 }
 
 void Dispatcher::restore_state(serial::Reader& in) {
-  if (!items_.empty() || !bins_.empty() || started_) {
+  if (!items_.empty() || !records_.empty() || started_) {
     throw std::logic_error(
         "Dispatcher::restore_state: dispatcher already has state");
   }
@@ -318,7 +335,7 @@ void Dispatcher::restore_state(serial::Reader& in) {
     throw serial::SerialError(
         "Dispatcher::restore_state: dimension mismatch");
   }
-  if (in.f64() != capacity_) {
+  if (in.f64() != table_.capacity()) {
     throw serial::SerialError(
         "Dispatcher::restore_state: bin_capacity mismatch");
   }
@@ -361,13 +378,8 @@ void Dispatcher::restore_state(serial::Reader& in) {
     for (std::uint64_t i = 0; i < n; ++i) rec.items.push_back(in.u32());
     records_.push_back(std::move(rec));
   }
-  // Every bin gets a shell at its historical opening time; open bins are
-  // then filled below with their exact saved state.
-  for (std::uint64_t b = 0; b < num_bins; ++b) {
-    bins_.emplace_back(static_cast<BinId>(b), dim_, records_[b].opened,
-                       capacity_, &usage_pool_);
-  }
   slot_of_.assign(num_bins, kNoSlot);
+  active_.assign(num_bins, UsagePool::List{});
 
   const std::uint64_t num_open = in.u64();
   if (num_open > num_bins) {
@@ -380,13 +392,29 @@ void Dispatcher::restore_state(serial::Reader& in) {
       throw serial::SerialError(
           "Dispatcher::restore_state: open-bin index out of range");
     }
-    bins_[idx].restore_state(in);
+    if (slot_of_[idx] != kNoSlot) {
+      throw serial::SerialError(
+          "Dispatcher::restore_state: bin listed open twice");
+    }
+    if (in.u64() != dim_) {
+      throw serial::SerialError(
+          "Dispatcher::restore_state: open-bin dimension mismatch");
+    }
+    RVec load(dim_);
+    for (std::size_t j = 0; j < dim_; ++j) load[j] = in.f64();
+    const std::uint64_t n = in.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const JobId job = in.u32();
+      usage_pool_.append(active_[idx], job, in.f64());
+    }
+    if (in.u64() != records_[idx].items.size()) {
+      throw serial::SerialError(
+          "Dispatcher::restore_state: packed count disagrees with record");
+    }
     slot_of_[idx] = static_cast<std::uint32_t>(k);
-    const BinState& bin = bins_[idx];
     // Raw-bit copy into the table lane: the restored slot is
-    // bit-identical to the saved load, like the RVec it mirrors.
-    table_.push_back_raw(bin.id(), bin.load().data(),
-                         bin.latest_departure());
+    // bit-identical to the saved load.
+    table_.push_back_raw(static_cast<BinId>(idx), load.data(), in.f64());
   }
 }
 
@@ -397,7 +425,7 @@ double Dispatcher::cost_so_far(Time at) const {
     // walk the open bins.
     double total = closed_usage_;
     for (std::size_t slot = 0; slot < table_.size(); ++slot) {
-      total += std::max(0.0, at - bins_[table_.id(slot)].opened_at());
+      total += std::max(0.0, at - records_[table_.id(slot)].opened);
     }
     return total;
   }

@@ -11,12 +11,17 @@
 // simulate() (core/simulator.hpp) is a loop over a Dispatcher that replays
 // a complete Instance; live services (sharded, durable, wire) drive one
 // directly over wall-clock time.
+//
+// Each fact about an open bin (paper Sec. 2.1) is stored once: its load
+// and latest departure in the OpenBinTable its policy reads, its opening
+// time and every item it ever held in its BinRecord, and its active items
+// in a UsagePool::List indexed by BinId. open_bin/pack_into/remove_job
+// update all of them together.
 #pragma once
 
 #include <limits>
 #include <vector>
 
-#include "core/bin_state.hpp"
 #include "core/open_bin_table.hpp"
 #include "core/packing.hpp"
 #include "core/policies/policy.hpp"
@@ -151,7 +156,7 @@ class Dispatcher {
 
   /// Sum over open bins and dimensions of the current load -- the
   /// "total usage" signal the least-usage router balances on. O(open bins).
-  double total_active_load() const noexcept;
+  double total_active_load() const noexcept { return table_.total_load(); }
 
   /// Every job ever admitted, by JobId (indexable, iterable; backed by a
   /// chunked slab, so Item references stay valid across later arrivals).
@@ -173,12 +178,20 @@ class Dispatcher {
   /// opening time with `closed` == opened; consult open_bins()).
   const std::vector<BinRecord>& records() const noexcept { return records_; }
 
-  /// Live state of bin `id` if it is currently open, nullptr otherwise.
-  /// Invalidated by the next mutating call (invariant-checker use).
-  const BinState* open_bin_state(BinId id) const noexcept {
-    if (id >= slot_of_.size() || slot_of_[id] == kNoSlot) return nullptr;
-    return &bins_[id];
+  /// True while bin `id` is open (it has a slot in open_bin_table()).
+  bool is_open(BinId id) const noexcept {
+    return id < slot_of_.size() && slot_of_[id] != kNoSlot;
   }
+
+  /// Number of active items in bin `id`; 0 once it has closed. O(1).
+  std::size_t occupancy(BinId id) const noexcept {
+    return id < active_.size() ? active_[id].size : 0;
+  }
+
+  /// Active items of bin `id` in insertion order (empty once closed).
+  /// Materialized from the bin's list: a cold path for audits and the
+  /// rebalancer's planning pass.
+  std::vector<JobId> active_items(BinId id) const;
 
   /// Running sum of closed bins' usage time (monotone; checker use).
   double closed_usage() const noexcept { return closed_usage_; }
@@ -190,15 +203,17 @@ class Dispatcher {
   /// that restore_state() on a fresh Dispatcher (same dim/capacity, same
   /// policy configuration; policy state is checkpointed separately through
   /// Policy::save_state) reproduces a dispatcher whose future decisions
-  /// are bit-identical to this one's. Closed bins are restored as empty
-  /// shells (their BinState is never consulted again); their usage history
-  /// lives in records(). O(items + bins).
+  /// are bit-identical to this one's. Loads are written as raw IEEE-754
+  /// bits: re-adding the active items would reorder the floating-point
+  /// sums and could flip a later fits decision by one ulp. Closed bins
+  /// live on only in records(). O(items + bins).
   void save_state(serial::Writer& out) const;
 
   /// Restores state written by save_state(). Must be called on a freshly
   /// constructed dispatcher (nothing admitted yet) with the same dim and
   /// bin_capacity; throws std::logic_error otherwise and
-  /// serial::SerialError on malformed input. Does not invoke any Policy
+  /// serial::SerialError on malformed input (including an open bin whose
+  /// packed count disagrees with its record). Does not invoke any Policy
   /// callback -- pair with Policy::restore_state.
   void restore_state(serial::Reader& in);
 
@@ -215,26 +230,28 @@ class Dispatcher {
   /// and the observer's open/depart/evict/close hooks.
   BinId open_bin(Time now, JobId job);
   void pack_into(Time now, BinId target, JobId job);
+  /// Adds `job` to open bin `id` at `slot`: load lane, latest departure,
+  /// active list, record and assignment, in one place.
+  void add_to(BinId id, std::uint32_t slot, JobId job);
   Eviction remove_job(Time now, JobId job, bool evicting);
   void close_slot(std::uint32_t slot);
 
   std::size_t dim_;
   Policy& policy_;
-  double capacity_;
   obs::Observer* obs_;
   TenantUsageHook* usage_hook_ = nullptr;
   Time now_ = 0.0;
   bool started_ = false;
 
-  UsagePool usage_pool_;  // usage-interval nodes for all bins' active lists
+  UsagePool usage_pool_;  // nodes of every bin's active list
   StableVector<Item> items_;  // by JobId; departure patched on depart
   std::vector<BinId> assignment_;    // JobId -> bin (kNoBin once departed)
   std::vector<BinId> last_bin_;      // JobId -> last bin packed into
   std::vector<std::uint8_t> evicted_;  // JobId -> 1 while in limbo
   std::size_t evicted_jobs_ = 0;
-  StableVector<BinState> bins_;      // every bin ever opened, by id
   OpenBinTable table_;  // the open bins, in opening order
   std::vector<std::uint32_t> slot_of_;  // BinId -> slot in table_
+  std::vector<UsagePool::List> active_;  // BinId -> active items
   std::vector<BinRecord> records_;
   std::size_t active_jobs_ = 0;
   double closed_usage_ = 0.0;  // running sum of closed bins' usage time

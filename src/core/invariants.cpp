@@ -1,10 +1,10 @@
 #include "core/invariants.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <unordered_map>
 
-#include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/fits.hpp"
 
@@ -28,18 +28,24 @@ std::optional<std::string> PackingInvariantChecker::check(
   const OpenBinTable& table = d.open_bin_table();
   for (std::size_t slot = 0; slot < table.size(); ++slot) {
     const BinId id = table.id(slot);
-    const BinState* bin = d.open_bin_state(id);
-    if (bin == nullptr) {
-      return bin_str(id) + " has a table slot but no open state";
+    if (!d.is_open(id)) {
+      return bin_str(id) + " has a table slot but is not open";
+    }
+    const std::vector<JobId> jobs = d.active_items(id);
+    if (jobs.empty() || jobs.size() != d.occupancy(id)) {
+      return bin_str(id) + " active list is empty or disagrees with its "
+             "occupancy";
     }
     RVec sum(d.dim());
-    for (ItemId job : bin->active_items()) {
+    Time latest = 0.0;
+    for (JobId job : jobs) {
       if (job >= d.jobs_admitted()) {
         return bin_str(id) + " lists unknown job " +
                std::to_string(job);
       }
-      const RVec& size = d.items()[job].size;
-      for (std::size_t k = 0; k < d.dim(); ++k) sum[k] += size[k];
+      const Item& item = d.items()[job];
+      for (std::size_t k = 0; k < d.dim(); ++k) sum[k] += item.size[k];
+      latest = std::max(latest, item.departure);
       auto [it, fresh] = placed.emplace(job, id);
       if (!fresh) {
         return "job " + std::to_string(job) + " active in " +
@@ -48,29 +54,26 @@ std::optional<std::string> PackingInvariantChecker::check(
       ++active_in_bins;
     }
     for (std::size_t k = 0; k < d.dim(); ++k) {
-      if (std::abs(sum[k] - bin->load()[k]) > kLoadEps) {
+      if (std::abs(sum[k] - table.lane(k)[slot]) > kLoadEps) {
         std::ostringstream os;
         os << bin_str(id) << " load drift in dim " << k << ": stored "
-           << bin->load()[k] << " vs recomputed " << sum[k];
+           << table.lane(k)[slot] << " vs recomputed " << sum[k];
         return os.str();
       }
       // The audit's capacity verdict uses the same fits.hpp threshold and
       // predicate as the placement paths (scalar and SIMD), so a load the
       // engine admitted can never be rejected here by one ulp.
-      if (!fits_under_threshold(sum[k], fits_threshold(bin->capacity()))) {
+      if (!fits_under_threshold(sum[k], table.threshold())) {
         std::ostringstream os;
         os << bin_str(id) << " over capacity in dim " << k << ": "
-           << sum[k] << " > " << bin->capacity();
+           << sum[k] << " > " << table.capacity();
         return os.str();
       }
-      // Policies decide from the table lanes: they must equal the load.
-      if (table.lane(k)[slot] != bin->load()[k]) {
-        return bin_str(id) + " table lane out of sync in dim " +
-               std::to_string(k);
-      }
     }
-    if (table.latest_departure(slot) != bin->latest_departure()) {
-      return bin_str(id) + " table latest departure out of sync";
+    // Active jobs still carry the departure they were added with (only
+    // depart() patches it), so the maximum is exact.
+    if (table.latest_departure(slot) != latest) {
+      return bin_str(id) + " latest departure disagrees with its items";
     }
   }
 
@@ -109,7 +112,7 @@ std::optional<std::string> PackingInvariantChecker::check(
     closed_seen_.resize(d.bins_opened());
   }
   for (const BinRecord& rec : d.records()) {
-    const bool open = d.open_bin_state(rec.id) != nullptr;
+    const bool open = d.is_open(rec.id);
     ClosedBin& seen = closed_seen_[rec.id];
     if (seen.seen) {
       if (open) return bin_str(rec.id) + " reopened after closing";

@@ -10,9 +10,10 @@
 // cost never decreases) that a single snapshot cannot see.
 //
 // Invariants checked (ISSUE 7 / docs/MIGRATION.md):
-//   1. no open bin exceeds capacity in any dimension, each bin's
-//      incremental load equals the sum of its active items' sizes, and
-//      its open-bin table slot holds the same load and latest departure;
+//   1. no open bin exceeds capacity in any dimension, and each bin's
+//      open-bin table slot holds a load equal (up to rounding) to the sum
+//      of its active items' sizes and the exact latest departure among
+//      them, with its occupancy matching its active list;
 //   2. every live, non-evicted job sits in exactly one open bin that
 //      lists it exactly once; evicted (in-limbo) jobs sit in none;
 //   3. closed bins stay closed with an immutable usage record, and

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #if !defined(DVBP_DISABLE_SIMD) && defined(__x86_64__)
 #define DVBP_SIMD_X86 1
@@ -132,6 +134,11 @@ const KernelDispatch& kernel() {
 
 const char* OpenBinTable::active_kernel() noexcept { return kernel().name; }
 
+void OpenBinTable::throw_bad_slot(std::size_t slot) const {
+  throw std::out_of_range("OpenBinTable: slot " + std::to_string(slot) +
+                          " >= size " + std::to_string(size_));
+}
+
 void OpenBinTable::ensure_capacity(std::size_t want_slots) {
   if (want_slots <= stride_) return;
   std::size_t new_stride = std::max<std::size_t>(stride_ * 2, kChunkSlots);
@@ -177,6 +184,7 @@ void OpenBinTable::sub_clamped(std::size_t slot, const double* sub) {
 }
 
 void OpenBinTable::erase_slot(std::size_t slot) {
+  check_slot(slot);
   for (std::size_t j = 0; j < dim_; ++j) {
     double* l = mutable_lane(j);
     std::memmove(l + slot, l + slot + 1,
@@ -190,6 +198,7 @@ void OpenBinTable::erase_slot(std::size_t slot) {
 }
 
 bool OpenBinTable::fits(std::size_t slot, const double* add) const {
+  check_slot(slot);
   for (std::size_t j = 0; j < dim_; ++j) {
     if (!fits_under_threshold(lane(j)[slot] + add[j], threshold_)) {
       return false;
@@ -265,10 +274,10 @@ double OpenBinTable::total_load() const noexcept {
 }
 
 double OpenBinTable::load_measure(std::size_t slot, int measure) const {
-  // Mirrors measure_load() on the owning bin's RVec operation for
-  // operation: same accumulation order over dimensions, same std::pow
-  // calls for L2, so the scalarized load is bit-identical to the AoS
-  // path's and Best/Worst Fit comparisons cannot diverge.
+  // Mirrors measure_load() on an RVec operation for operation: same
+  // accumulation order over dimensions, same std::pow calls for L2, so
+  // the scalarized load is bit-identical to measure_load()'s and
+  // Best/Worst Fit comparisons cannot diverge.
   switch (measure) {
     case 0: {  // LoadMeasure::kLinf -- RVec::linf()
       double m = 0.0;

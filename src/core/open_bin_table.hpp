@@ -2,20 +2,19 @@
 // arrays -- the only view of them that placement policies read.
 //
 // Each slot carries the bin's id, the latest departure among its active
-// items, and its load vector. BinState keeps each bin's load as one RVec
-// (array-of-structures): good for serialization and single-bin updates,
-// but the per-arrival scan touches every open bin. This table stores the
-// SAME doubles transposed: dimension j of all open bins is one
-// contiguous lane, padded to the SIMD width. The Any Fit feasibility
-// scan `load + s(r) <= cap + eps` then tests 4 bins per AVX2
+// items, and its load vector -- the only copy of the load and latest
+// departure the library keeps. The per-arrival scan touches every open
+// bin, so the loads are stored transposed: dimension j of all open bins
+// is one contiguous lane, padded to the SIMD width. The Any Fit
+// feasibility scan `load + s(r) <= cap + eps` then tests 4 bins per AVX2
 // instruction (2 with SSE2), and Best/Worst Fit measures are computed
 // from the lanes with exactly the same scalar operation order as
 // measure_load() on an RVec.
 //
 // Bit-exactness contract (pinned by tests/golden_packings.inc and the
-// -DDVBP_DISABLE_SIMD CI job): every lane entry holds bit-identical
-// values to the owning BinState's load_ -- both are updated with the
-// same IEEE-754 additions and subtractions in the same order -- and
+// -DDVBP_DISABLE_SIMD CI job): every lane entry is the bin's load as the
+// sequence of IEEE-754 additions and clamped subtractions of its items'
+// sizes, in event order, that RVec arithmetic would produce -- and
 // every kernel (AVX2, SSE2, scalar) evaluates the fits.hpp predicate
 // `load[j] + add[j] <= threshold` with one add and one ordered,
 // non-signaling <= per dimension against the same precomputed threshold.
@@ -26,9 +25,11 @@
 // a phantom bin (+inf + x compares false under <=).
 //
 // The Dispatcher owns the table: it appends a slot when a bin opens,
-// mirrors every load and latest-departure change, and erase_slot()
+// applies every load and latest-departure change, and erase_slot()
 // compacts every column when the bin closes, so slot order stays
-// opening order.
+// opening order. Every per-slot accessor throws std::out_of_range for a
+// slot >= size(): policies receive the table, and a bad slot must not
+// read or memmove past the columns.
 #pragma once
 
 #include <cstddef>
@@ -65,15 +66,15 @@ class OpenBinTable {
 
   /// Appends a slot for bin `id` with the given load bits and latest
   /// departure (checkpoint restore). Copies raw values -- no arithmetic
-  /// -- so restored lanes match load_ exactly.
+  /// -- so restored lanes match the saved ones exactly.
   void push_back_raw(BinId id, const double* load, Time latest_departure);
 
   /// load[slot] += add, with the same per-dimension IEEE adds (in
-  /// dimension order) as RVec::operator+= on the owning bin.
+  /// dimension order) as RVec::operator+=.
   void add(std::size_t slot, const double* add);
 
-  /// load[slot] -= sub, then clamp each dimension to >= 0 -- mirrors the
-  /// departure path RVec::operator-= followed by clamp_nonnegative().
+  /// load[slot] -= sub, then clamp each dimension to >= 0 (RVec's
+  /// operator-= followed by clamp_nonnegative()).
   void sub_clamped(std::size_t slot, const double* sub);
 
   /// Records the bin's latest departure after an add or a removal.
@@ -86,11 +87,16 @@ class OpenBinTable {
   void erase_slot(std::size_t slot);
 
   /// Id of the bin in `slot`.
-  BinId id(std::size_t slot) const noexcept { return ids_[slot]; }
+  BinId id(std::size_t slot) const {
+    check_slot(slot);
+    return ids_[slot];
+  }
 
-  /// Latest departure among the active items of the bin in `slot`, as
-  /// BinState::latest_departure() reports it (clairvoyant policies).
-  Time latest_departure(std::size_t slot) const noexcept {
+  /// Latest departure among the active items of the bin in `slot`, each
+  /// item counted with the departure it was added with (clairvoyant
+  /// policies); 0 for a freshly pushed empty slot.
+  Time latest_departure(std::size_t slot) const {
+    check_slot(slot);
     return latest_departure_[slot];
   }
 
@@ -128,11 +134,11 @@ class OpenBinTable {
   double total_load() const noexcept;
 
   /// The load measure of `slot` (`measure` as in find_best_fit),
-  /// bit-identical to measure_load() on the owning bin's RVec.
+  /// bit-identical to measure_load() on an RVec of the same load.
   double load_measure(std::size_t slot, int measure) const;
 
-  /// Lane pointer for dimension j: entry [slot] equals the owning bin's
-  /// load()[j], bit for bit. Valid for size() slots.
+  /// Lane pointer for dimension j: entry [slot] is the load of the bin in
+  /// `slot` in dimension j. Valid for size() slots.
   const double* lane(std::size_t j) const noexcept {
     return lanes_.data() + j * stride_;
   }
@@ -142,6 +148,10 @@ class OpenBinTable {
   static const char* active_kernel() noexcept;
 
  private:
+  void check_slot(std::size_t slot) const {
+    if (slot >= size_) throw_bad_slot(slot);
+  }
+  [[noreturn]] void throw_bad_slot(std::size_t slot) const;
   void ensure_capacity(std::size_t want_slots);
   double* mutable_lane(std::size_t j) noexcept {
     return lanes_.data() + j * stride_;

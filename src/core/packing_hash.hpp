@@ -61,11 +61,13 @@ inline std::uint64_t dispatcher_state_hash(const Dispatcher& d) {
   }
   const OpenBinTable& table = d.open_bin_table();
   for (std::size_t slot = 0; slot < table.size(); ++slot) {
-    const BinState& bin = *d.open_bin_state(table.id(slot));
-    fnv(h, bin.id());
-    fnv(h, bin.num_active());
-    fnv(h, std::bit_cast<std::uint64_t>(bin.latest_departure()));
-    for (double c : bin.load()) fnv(h, std::bit_cast<std::uint64_t>(c));
+    const BinId id = table.id(slot);
+    fnv(h, id);
+    fnv(h, d.occupancy(id));
+    fnv(h, std::bit_cast<std::uint64_t>(table.latest_departure(slot)));
+    for (std::size_t j = 0; j < table.dim(); ++j) {
+      fnv(h, std::bit_cast<std::uint64_t>(table.lane(j)[slot]));
+    }
   }
   return h;
 }

@@ -1,24 +1,23 @@
 // Slab/pool allocators for the placement hot path.
 //
 // The event loop used to pay one allocator round-trip per bin open (vector
-// reallocation) and two per item lifetime (the active_/departures_
-// vectors inside BinState). Both disappear here:
+// reallocation) and two per item lifetime (per-bin active/departure
+// vectors). Both disappear here:
 //
 //  * StableVector<T>: a chunked slab. push_back never moves existing
 //    elements, so pointers and references into it are stable for the life
-//    of the container -- BinState addresses returned by open_bin_state(),
-//    and Item addresses handed to policies, never dangle.
+//    of the container -- Item addresses handed to policies never dangle.
 //    Indexing is two loads (chunk pointer, then element); chunks are
 //    allocated geometrically like vector's growth but never copied.
 //
 //  * UsagePool: a free-listed slab of usage-interval nodes
-//    {item, departure, next}. Every open bin's active set is a singly
-//    linked list threaded through the pool; add/remove of an item is a
-//    pointer splice plus a free-list push -- no per-event new/delete.
-//    Nodes are uint32-indexed, so a bin's whole active set costs 16
-//    bytes/item and the pool serves every bin of a Dispatcher from
-//    the same few slabs (the MrWSI bin.c exemplar builds its packing
-//    core on exactly this mempool shape).
+//    {item, departure, next}. Every open bin's active set is a
+//    UsagePool::List -- a singly linked list threaded through the pool;
+//    append/erase of an item is a pointer splice plus a free-list push --
+//    no per-event new/delete. Nodes are uint32-indexed, so a bin's whole
+//    active set costs 16 bytes/item and the pool serves every bin of a
+//    Dispatcher from the same few slabs (the MrWSI bin.c exemplar builds
+//    its packing core on exactly this mempool shape).
 //
 // Neither container is thread-safe; each Dispatcher (one per shard in the
 // sharded service) owns its own instances.
@@ -28,6 +27,8 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -43,8 +44,8 @@ namespace dvbp {
 template <typename T>
 class StableVector {
  public:
-  /// Elements per chunk; 64 keeps a chunk of BinState around 8KiB and
-  /// makes the chunk math a shift instead of a division.
+  /// Elements per chunk; a power of two, so the chunk math is a shift
+  /// instead of a division.
   static constexpr std::size_t kChunkSize = 64;
 
   StableVector() = default;
@@ -155,7 +156,63 @@ class UsagePool {
     free_head_ = idx;
   }
 
-  UsageNode& operator[](std::uint32_t idx) noexcept { return nodes_[idx]; }
+  /// One bin's active items in insertion order: head/tail node indices
+  /// (tail makes append O(1)) and the item count (O(1) occupancy). The
+  /// owner keeps one per bin; the nodes live in the pool.
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t size = 0;
+  };
+
+  /// Appends `item`, active until `departure`, to the end of `list`.
+  void append(List& list, ItemId item, Time departure) {
+    const std::uint32_t node = alloc(item, departure);
+    if (list.tail == kNil) {
+      list.head = node;
+    } else {
+      nodes_[list.tail].next = node;
+    }
+    list.tail = node;
+    ++list.size;
+  }
+
+  /// Unlinks `item` from `list` and recycles its node; returns the
+  /// departure it was appended with. Throws std::logic_error (leaving the
+  /// list untouched) when `item` is not in the list -- a real check, so an
+  /// NDEBUG build cannot splice a stale node.
+  Time erase(List& list, ItemId item) {
+    std::uint32_t prev = kNil;
+    std::uint32_t node = list.head;
+    while (node != kNil && nodes_[node].item != item) {
+      prev = node;
+      node = nodes_[node].next;
+    }
+    if (node == kNil) {
+      throw std::logic_error("UsagePool::erase: item " +
+                             std::to_string(item) + " is not in the list");
+    }
+    const std::uint32_t next = nodes_[node].next;
+    if (prev == kNil) {
+      list.head = next;
+    } else {
+      nodes_[prev].next = next;
+    }
+    if (list.tail == node) list.tail = prev;
+    --list.size;
+    const Time departure = nodes_[node].departure;
+    release(node);
+    return departure;
+  }
+
+  /// Calls `f(node)` for every node of `list`, in insertion order.
+  template <typename F>
+  void for_each(const List& list, F&& f) const {
+    for (std::uint32_t n = list.head; n != kNil; n = nodes_[n].next) {
+      f(nodes_[n]);
+    }
+  }
+
   const UsageNode& operator[](std::uint32_t idx) const noexcept {
     return nodes_[idx];
   }

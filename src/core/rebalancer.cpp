@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/bin_state.hpp"
+#include "core/fits.hpp"
 
 namespace dvbp {
 
@@ -49,41 +49,44 @@ std::size_t Rebalancer::on_departure(Time now) {
 bool Rebalancer::plan_close(Plan& plan) const {
   const OpenBinTable& table = dispatcher_.open_bin_table();
   if (table.size() < 2) return false;
-  const auto open = [&](std::size_t slot) {
-    return dispatcher_.open_bin_state(table.id(slot));
+  const auto occupancy = [&](std::size_t slot) {
+    return dispatcher_.occupancy(table.id(slot));
   };
 
   std::vector<std::size_t> candidates;
   for (std::size_t slot = 0; slot < table.size(); ++slot) {
-    const std::size_t n = open(slot)->num_active();
+    const std::size_t n = occupancy(slot);
     if (n >= 1 && n <= config_.max_survivors &&
         static_cast<double>(n) <= credits_ + kBudgetEps) {
       candidates.push_back(slot);
     }
   }
   std::sort(candidates.begin(), candidates.end(),
-            [&open](std::size_t a, std::size_t b) {
-              if (open(a)->num_active() != open(b)->num_active()) {
-                return open(a)->num_active() < open(b)->num_active();
+            [&](std::size_t a, std::size_t b) {
+              if (occupancy(a) != occupancy(b)) {
+                return occupancy(a) < occupancy(b);
               }
-              return open(a)->id() < open(b)->id();
+              return table.id(a) < table.id(b);
             });
 
-  std::vector<RVec> scratch;
+  // Scratch loads, slot-major: scratch[slot * dim + k] starts as the
+  // lane value, so the fits test below is the placement predicate.
+  const std::size_t dim = table.dim();
+  std::vector<double> scratch;
   for (std::size_t c : candidates) {
-    const BinState* source = open(c);
-    const std::vector<ItemId>& jobs = source->active_items();
+    plan.jobs = dispatcher_.active_items(table.id(c));
 
     double volume = 0.0;
-    for (JobId job : jobs) volume += dispatcher_.items()[job].size.l1();
+    for (JobId job : plan.jobs) volume += dispatcher_.items()[job].size.l1();
     if (volume > volume_credits_ + kBudgetEps) continue;
 
-    scratch.clear();
+    scratch.resize(table.size() * dim);
     for (std::size_t slot = 0; slot < table.size(); ++slot) {
-      scratch.push_back(open(slot)->load());
+      for (std::size_t k = 0; k < dim; ++k) {
+        scratch[slot * dim + k] = table.lane(k)[slot];
+      }
     }
 
-    plan.jobs.assign(jobs.begin(), jobs.end());
     plan.targets.clear();
     bool feasible = true;
     for (JobId job : plan.jobs) {
@@ -91,11 +94,10 @@ bool Rebalancer::plan_close(Plan& plan) const {
       BinId target = kNoBin;
       for (std::size_t slot = 0; slot < table.size(); ++slot) {
         if (slot == c) continue;
-        if (scratch[slot].fits_with_capacity(size, open(slot)->capacity())) {
+        double* load = scratch.data() + slot * dim;
+        if (fits_under_threshold(load, size.data(), dim, table.threshold())) {
           target = table.id(slot);
-          for (std::size_t k = 0; k < size.dim(); ++k) {
-            scratch[slot][k] += size[k];
-          }
+          for (std::size_t k = 0; k < dim; ++k) load[k] += size[k];
           break;
         }
       }
@@ -107,7 +109,7 @@ bool Rebalancer::plan_close(Plan& plan) const {
     }
     if (!feasible) continue;
 
-    plan.source = source->id();
+    plan.source = table.id(c);
     plan.volume = volume;
     return true;
   }

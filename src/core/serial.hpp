@@ -1,6 +1,6 @@
 // Binary serialization primitives shared by the checkpoint/journal layer
-// (src/persist/) and the state-snapshot hooks on Dispatcher, BinState, and
-// the policies.
+// (src/persist/) and the state-snapshot hooks on Dispatcher and the
+// policies.
 //
 // The encoding is deliberately dumb: little-endian fixed-width integers and
 // raw IEEE-754 bit patterns for doubles. Raw bits matter: recovery must

@@ -1,55 +1,99 @@
-// Tests for BinState bookkeeping and the Packing offline auditor.
+// Tests for the open-bin bookkeeping a Dispatcher keeps -- table lanes,
+// latest-departure column, active lists, occupancy -- and the Packing
+// offline auditor.
 #include <gtest/gtest.h>
 
-#include "core/bin_state.hpp"
+#include <vector>
+
+#include "core/dispatcher.hpp"
 #include "core/packing.hpp"
+#include "core/policies/registry.hpp"
 
 namespace dvbp {
 namespace {
 
-std::vector<Item> three_items() {
-  return {
-      Item(0, 0.0, 2.0, RVec{0.5, 0.2}),
-      Item(1, 0.0, 3.0, RVec{0.4, 0.4}),
-      Item(2, 1.0, 4.0, RVec{0.3, 0.1}),
-  };
+// First Fit puts every item that fits into bin 0 (slot 0).
+TEST(OpenBin, AddAccumulatesLoad) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher d(2, *policy);
+  EXPECT_FALSE(d.is_open(0));
+  EXPECT_EQ(d.occupancy(0), 0u);
+  d.arrive(0.0, RVec{0.5, 0.2}, 2.0);
+  d.arrive(0.0, RVec{0.4, 0.4}, 3.0);
+  const OpenBinTable& table = d.open_bin_table();
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_TRUE(d.is_open(0));
+  EXPECT_EQ(d.occupancy(0), 2u);
+  EXPECT_EQ(d.active_items(0), (std::vector<JobId>{0, 1}));
+  EXPECT_EQ(d.records()[0].items.size(), 2u);
+  EXPECT_NEAR(table.lane(0)[0], 0.9, 1e-12);
+  EXPECT_NEAR(table.lane(1)[0], 0.6, 1e-12);
+  EXPECT_DOUBLE_EQ(table.latest_departure(0), 3.0);
 }
 
-TEST(BinState, AddAccumulatesLoad) {
-  const auto items = three_items();
-  UsagePool pool;
-  BinState bin(0, 2, 0.0, 1.0, &pool);
-  EXPECT_TRUE(bin.is_empty());
-  bin.add(items[0]);
-  bin.add(items[1]);
-  EXPECT_EQ(bin.num_active(), 2u);
-  EXPECT_NEAR(bin.load()[0], 0.9, 1e-12);
-  EXPECT_NEAR(bin.load()[1], 0.6, 1e-12);
-  EXPECT_DOUBLE_EQ(bin.latest_departure(), 3.0);
+TEST(OpenBin, FitsRespectsEveryDimension) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher d(2, *policy);
+  d.arrive(0.0, RVec{0.5, 0.2}, 2.0);  // load (0.5, 0.2)
+  const OpenBinTable& table = d.open_bin_table();
+  const double fits[] = {0.5, 0.8};
+  const double too_wide[] = {0.6, 0.1};
+  const double too_tall[] = {0.1, 0.9};
+  EXPECT_TRUE(table.fits(0, fits));
+  EXPECT_FALSE(table.fits(0, too_wide));
+  EXPECT_FALSE(table.fits(0, too_tall));
 }
 
-TEST(BinState, FitsRespectsEveryDimension) {
-  const auto items = three_items();
-  UsagePool pool;
-  BinState bin(0, 2, 0.0, 1.0, &pool);
-  bin.add(items[0]);  // load (0.5, 0.2)
-  EXPECT_TRUE(bin.fits(RVec{0.5, 0.8}));
-  EXPECT_FALSE(bin.fits(RVec{0.6, 0.1}));
-  EXPECT_FALSE(bin.fits(RVec{0.1, 0.9}));
+TEST(OpenBin, RemoveUpdatesLoadAndClosesWhenEmpty) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher d(2, *policy);
+  d.arrive(0.0, RVec{0.5, 0.2}, 2.0);
+  d.arrive(0.0, RVec{0.4, 0.4}, 3.0);
+  d.depart(1.0, 1);
+  const OpenBinTable& table = d.open_bin_table();
+  ASSERT_EQ(table.size(), 1u);
+  EXPECT_EQ(d.occupancy(0), 1u);
+  EXPECT_EQ(d.active_items(0), (std::vector<JobId>{0}));
+  EXPECT_NEAR(table.lane(0)[0], 0.5, 1e-12);
+  EXPECT_NEAR(table.lane(1)[0], 0.2, 1e-12);
+  d.depart(2.0, 0);
+  EXPECT_TRUE(table.empty());
+  EXPECT_FALSE(d.is_open(0));
+  EXPECT_EQ(d.occupancy(0), 0u);
+  EXPECT_TRUE(d.active_items(0).empty());
+  EXPECT_DOUBLE_EQ(d.records()[0].closed, 2.0);
 }
 
-TEST(BinState, RemoveUpdatesLoadAndLatestDeparture) {
-  const auto items = three_items();
-  UsagePool pool;
-  BinState bin(0, 2, 0.0, 1.0, &pool);
-  bin.add(items[0]);
-  bin.add(items[1]);
-  EXPECT_FALSE(bin.remove(items[1]));
-  EXPECT_DOUBLE_EQ(bin.latest_departure(), 2.0);
-  EXPECT_NEAR(bin.load()[0], 0.5, 1e-12);
-  EXPECT_TRUE(bin.remove(items[0]));
-  EXPECT_TRUE(bin.is_empty());
-  EXPECT_TRUE(bin.load().is_nonnegative());
+// When the item holding the maximum departure leaves, the column drops to
+// the next-latest remaining departure; a non-maximum leaving changes
+// nothing.
+TEST(OpenBin, LatestDepartureDropsWhenTheMaximumDeparts) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher d(1, *policy);
+  d.arrive(0.0, RVec{0.2}, 2.0);
+  d.arrive(0.0, RVec{0.2}, 7.0);
+  d.arrive(0.0, RVec{0.2}, 4.0);
+  const OpenBinTable& table = d.open_bin_table();
+  EXPECT_DOUBLE_EQ(table.latest_departure(0), 7.0);
+  d.depart(1.0, 0);  // departure 2: not the maximum
+  EXPECT_DOUBLE_EQ(table.latest_departure(0), 7.0);
+  d.depart(1.5, 1);  // the maximum
+  EXPECT_DOUBLE_EQ(table.latest_departure(0), 4.0);
+}
+
+// Two items share the maximum: one leaving keeps the column at that
+// maximum (the other still holds it); the second leaving drops it.
+TEST(OpenBin, LatestDepartureTieKeepsTheMaximum) {
+  PolicyPtr policy = make_policy("FirstFit");
+  Dispatcher d(1, *policy);
+  d.arrive(0.0, RVec{0.2}, 5.0);
+  d.arrive(0.0, RVec{0.2}, 5.0);
+  d.arrive(0.0, RVec{0.2}, 3.0);
+  const OpenBinTable& table = d.open_bin_table();
+  d.depart(1.0, 0);
+  EXPECT_DOUBLE_EQ(table.latest_departure(0), 5.0);
+  d.depart(1.5, 1);
+  EXPECT_DOUBLE_EQ(table.latest_departure(0), 3.0);
 }
 
 // ---- Packing auditor ----------------------------------------------------

@@ -103,10 +103,10 @@ TEST(Evict, RemovesFromBinButKeepsJobActive) {
   EXPECT_EQ(d.jobs_active(), 2u);  // limbo jobs are still active
   EXPECT_EQ(d.open_bins(), 1u);
 
-  // The bin's live load no longer includes the evicted job.
-  const BinState* state = d.open_bin_state(bin);
-  ASSERT_NE(state, nullptr);
-  EXPECT_EQ(state->num_active(), 1u);
+  // The bin's active list no longer includes the evicted job.
+  ASSERT_TRUE(d.is_open(bin));
+  EXPECT_EQ(d.occupancy(bin), 1u);
+  EXPECT_EQ(d.active_items(bin), std::vector<JobId>{b});
 }
 
 TEST(Evict, LastItemClosesTheBinPermanently) {
@@ -117,7 +117,8 @@ TEST(Evict, LastItemClosesTheBinPermanently) {
   const Dispatcher::Eviction ev = d.evict(3.0, a);
   EXPECT_TRUE(ev.emptied);
   EXPECT_EQ(d.open_bins(), 0u);
-  EXPECT_EQ(d.open_bin_state(bin), nullptr);
+  EXPECT_FALSE(d.is_open(bin));
+  EXPECT_EQ(d.occupancy(bin), 0u);
   EXPECT_DOUBLE_EQ(d.records()[bin].closed, 3.0);
   EXPECT_DOUBLE_EQ(d.closed_usage(), 3.0);
 }

@@ -1,5 +1,5 @@
 // Allocator-churn soup for the slab/pool memory layout (ISSUE 8): the
-// UsagePool free-list, the StableVector bin/item slabs, and the SoA
+// UsagePool free-list, the StableVector item slab, and the SoA
 // OpenBinTable all recycle storage aggressively, so this suite hammers
 // arrive/depart/evict/replace interleavings and audits the dispatcher
 // with PackingInvariantChecker throughout. It is part of the default
@@ -10,10 +10,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/invariants.hpp"
 #include "core/open_bin_table.hpp"
@@ -184,45 +186,87 @@ TEST(PoolChurn, UsagePoolRecyclesReleasedNodes) {
   EXPECT_EQ(pool[c].item, 3u);
 }
 
-// erase_slot compacts the id and latest-departure columns together with
-// the load lanes. Bin b's slot holds id 100+b, latest departure 10+b and
-// load 0.01*b + 0.001*j in dimension j, so after erasing the first, a
-// middle and the last slot every survivor must still carry its own
-// bin's values in all three. 70 slots straddle the 64-slot scan chunk.
-TEST(PoolChurn, EraseSlotKeepsIdDepartureAndLanesAligned) {
-  constexpr std::size_t kDim = 3;
-  const auto load_of = [](BinId b, std::size_t j) {
-    return 0.01 * b + 0.001 * static_cast<double>(j);
+// UsagePool lists keep insertion order through erases at the head, the
+// middle and the tail, and an append after erasing the tail links to the
+// new tail.
+TEST(PoolChurn, UsagePoolListKeepsInsertionOrder) {
+  UsagePool pool;
+  UsagePool::List list;
+  for (ItemId item = 0; item < 5; ++item) {
+    pool.append(list, item, 10.0 + item);
+  }
+  const auto items = [&] {
+    std::vector<ItemId> out;
+    pool.for_each(list, [&out](const UsageNode& n) { out.push_back(n.item); });
+    return out;
   };
-  OpenBinTable table(kDim);
-  std::vector<BinId> bins;  // expected bin of each slot
-  for (BinId b = 0; b < 70; ++b) {
-    const double load[kDim] = {load_of(b, 0), load_of(b, 1), load_of(b, 2)};
+  EXPECT_DOUBLE_EQ(pool.erase(list, 0), 10.0);  // head
+  EXPECT_DOUBLE_EQ(pool.erase(list, 2), 12.0);  // middle
+  EXPECT_DOUBLE_EQ(pool.erase(list, 4), 14.0);  // tail
+  EXPECT_EQ(items(), (std::vector<ItemId>{1, 3}));
+  pool.append(list, 5, 15.0);
+  EXPECT_EQ(items(), (std::vector<ItemId>{1, 3, 5}));
+  EXPECT_EQ(list.size, 3u);
+  pool.erase(list, 1);
+  pool.erase(list, 3);
+  pool.erase(list, 5);
+  EXPECT_EQ(list.size, 0u);
+  EXPECT_EQ(list.head, UsagePool::kNil);
+  EXPECT_EQ(list.tail, UsagePool::kNil);
+}
+
+// A table whose slot k holds bin bins[k]: id 100+b, latest departure
+// 10+b and load 0.01*b + 0.001*j in dimension j.
+constexpr std::size_t kTableDim = 3;
+
+double load_of(BinId b, std::size_t j) {
+  return 0.01 * b + 0.001 * static_cast<double>(j);
+}
+
+OpenBinTable make_table(std::size_t slots, std::vector<BinId>& bins) {
+  OpenBinTable table(kTableDim);
+  for (BinId b = 0; b < slots; ++b) {
+    const double load[kTableDim] = {load_of(b, 0), load_of(b, 1),
+                                    load_of(b, 2)};
     table.push_back_raw(100 + b, load, 10.0 + b);
     bins.push_back(b);
   }
-  const auto expect_aligned = [&] {
-    ASSERT_EQ(table.size(), bins.size());
-    for (std::size_t slot = 0; slot < bins.size(); ++slot) {
-      const BinId b = bins[slot];
-      EXPECT_EQ(table.id(slot), 100 + b) << "slot " << slot;
-      EXPECT_EQ(table.latest_departure(slot), 10.0 + b) << "slot " << slot;
-      RVec load(kDim);
-      for (std::size_t j = 0; j < kDim; ++j) {
-        EXPECT_EQ(table.lane(j)[slot], load_of(b, j)) << "slot " << slot;
-        load[j] = load_of(b, j);
-      }
-      // load_measure is measure_load() computed from the lanes.
-      for (const LoadMeasure m :
-           {LoadMeasure::kLinf, LoadMeasure::kL1, LoadMeasure::kL2}) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                      table.load_measure(slot, static_cast<int>(m))),
-                  std::bit_cast<std::uint64_t>(measure_load(load, m)))
-            << "slot " << slot << " " << load_measure_name(m);
-      }
+  return table;
+}
+
+// Every slot of `table` still carries its own bin's id, latest departure,
+// load bits and load measures.
+void expect_aligned(const OpenBinTable& table,
+                    const std::vector<BinId>& bins) {
+  ASSERT_EQ(table.size(), bins.size());
+  for (std::size_t slot = 0; slot < bins.size(); ++slot) {
+    const BinId b = bins[slot];
+    EXPECT_EQ(table.id(slot), 100 + b) << "slot " << slot;
+    EXPECT_EQ(table.latest_departure(slot), 10.0 + b) << "slot " << slot;
+    RVec load(kTableDim);
+    for (std::size_t j = 0; j < kTableDim; ++j) {
+      EXPECT_EQ(table.lane(j)[slot], load_of(b, j)) << "slot " << slot;
+      load[j] = load_of(b, j);
     }
-  };
-  expect_aligned();
+    // load_measure is measure_load() computed from the lanes.
+    for (const LoadMeasure m :
+         {LoadMeasure::kLinf, LoadMeasure::kL1, LoadMeasure::kL2}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                    table.load_measure(slot, static_cast<int>(m))),
+                std::bit_cast<std::uint64_t>(measure_load(load, m)))
+          << "slot " << slot << " " << load_measure_name(m);
+    }
+  }
+}
+
+// erase_slot compacts the id and latest-departure columns together with
+// the load lanes: after erasing the first, a middle and the last slot
+// every survivor must still carry its own bin's values in all three. 70
+// slots straddle the 64-slot scan chunk.
+TEST(PoolChurn, EraseSlotKeepsIdDepartureAndLanesAligned) {
+  std::vector<BinId> bins;  // expected bin of each slot
+  OpenBinTable table = make_table(70, bins);
+  expect_aligned(table, bins);
   for (const std::string where : {"first", "middle", "last"}) {
     SCOPED_TRACE("erase the " + where + " slot");
     const std::size_t slot = where == "first"    ? 0
@@ -230,10 +274,10 @@ TEST(PoolChurn, EraseSlotKeepsIdDepartureAndLanesAligned) {
                                                  : bins.size() - 1;
     table.erase_slot(slot);
     bins.erase(bins.begin() + static_cast<std::ptrdiff_t>(slot));
-    expect_aligned();
+    expect_aligned(table, bins);
   }
   // The vacated tail is poisoned: nothing past size() can fit.
-  const double nothing[kDim] = {0.0, 0.0, 0.0};
+  const double nothing[kTableDim] = {0.0, 0.0, 0.0};
   EXPECT_EQ(table.find_last_fit(nothing), table.size() - 1);
 
   // A freshly opened bin starts at zero load and departure 0 until the
@@ -242,7 +286,25 @@ TEST(PoolChurn, EraseSlotKeepsIdDepartureAndLanesAligned) {
   const std::size_t fresh = table.size() - 1;
   EXPECT_EQ(table.id(fresh), 7u);
   EXPECT_EQ(table.latest_departure(fresh), 0.0);
-  for (std::size_t j = 0; j < kDim; ++j) EXPECT_EQ(table.lane(j)[fresh], 0.0);
+  for (std::size_t j = 0; j < kTableDim; ++j) {
+    EXPECT_EQ(table.lane(j)[fresh], 0.0);
+  }
+}
+
+// Every per-slot accessor rejects slot >= size() -- policies receive the
+// table, and an unchecked erase_slot(size()) would memmove a negative
+// length -- and a rejected erase leaves every column as it was.
+TEST(PoolChurn, OutOfRangeSlotThrowsAndLeavesColumnsIntact) {
+  std::vector<BinId> bins;
+  OpenBinTable table = make_table(68, bins);
+  const std::size_t past = table.size();
+  const double nothing[kTableDim] = {0.0, 0.0, 0.0};
+  EXPECT_THROW(table.erase_slot(past), std::out_of_range);
+  EXPECT_THROW(table.id(past), std::out_of_range);
+  EXPECT_THROW(table.latest_departure(past), std::out_of_range);
+  EXPECT_THROW(table.fits(past, nothing), std::out_of_range);
+  expect_aligned(table, bins);
+  EXPECT_EQ(table.find_last_fit(nothing), table.size() - 1);
 }
 
 // Checkpoint restore rebuilds the table with push_back_raw: after a
@@ -294,6 +356,152 @@ TEST(PoolChurn, RestoredTableMatchesSlotForSlot) {
     const auto violation = checker.check(*d);
     EXPECT_FALSE(violation.has_value()) << *violation;
   }
+}
+
+// Drives `d` through a seeded arrive/depart/evict/replace soup and stops
+// mid-run, with bins open and jobs in limbo, so every field of the
+// checkpoint is populated: load bits, active lists, packed counts,
+// latest departures and limbo flags. Replays alternate between a fresh
+// bin and the first open bin that fits.
+void churn_with_migration(Dispatcher& d, std::uint64_t seed) {
+  Xoshiro256pp rng(seed);
+  std::vector<JobId> placed;
+  std::vector<JobId> limbo;
+  Time now = 0.0;
+  for (int step = 0; step < 5000; ++step) {
+    now += rng.uniform(0.0, 0.05);
+    const double roll = rng.uniform();
+    if (!limbo.empty() && (limbo.size() > 12 || roll < 0.1)) {
+      const JobId job = limbo.back();
+      limbo.pop_back();
+      BinId target = kNoBin;
+      if (roll < 0.05) {
+        const OpenBinTable& table = d.open_bin_table();
+        const std::size_t slot =
+            table.find_first_fit(d.items()[job].size.data());
+        if (slot != OpenBinTable::npos) target = table.id(slot);
+      }
+      d.replace(now, job, target);
+      placed.push_back(job);
+    } else if (!placed.empty() && roll < 0.2) {
+      const std::size_t pick =
+          static_cast<std::size_t>(rng.uniform_int(0, placed.size() - 1));
+      d.evict(now, placed[pick]);
+      limbo.push_back(placed[pick]);
+      placed[pick] = placed.back();
+      placed.pop_back();
+    } else if (!placed.empty() && (placed.size() > 48 || roll < 0.45)) {
+      const std::size_t pick =
+          static_cast<std::size_t>(rng.uniform_int(0, placed.size() - 1));
+      d.depart(now, placed[pick]);
+      placed[pick] = placed.back();
+      placed.pop_back();
+    } else {
+      placed.push_back(
+          d.arrive(now, random_size(rng, d.dim()), now + rng.uniform(1, 5))
+              .job);
+    }
+  }
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+// Pins the checkpoint format byte for byte: Dispatcher::save_state after a
+// churned run with evictions and replays, hashed with FNV-1a. A change to
+// the open-bin representation must leave these bytes alone, or existing
+// checkpoints stop loading. Restoring the bytes and saving again must
+// reproduce them exactly.
+TEST(PoolChurn, CheckpointBytesMatchGoldens) {
+  struct Golden {
+    const char* policy;
+    std::size_t dim;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {"FirstFit", 2, 0x1A89CE9A04C59D97ull},
+      {"FirstFit", 9, 0x247E8AAB658CEE29ull},
+      {"MinExtensionFit", 2, 0x086ACCBAF817CA77ull},
+      {"MinExtensionFit", 9, 0xB32E266B1B8AB14Dull},
+  };
+  const bool dump = std::getenv("DVBP_DUMP_GOLDEN") != nullptr;
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(g.policy) + " d=" + std::to_string(g.dim));
+    PolicyPtr policy = make_policy(g.policy, 11);
+    Dispatcher a(g.dim, *policy);
+    churn_with_migration(a, 0xC4EC + g.dim);
+    ASSERT_GT(a.open_bins(), 2u);
+    ASSERT_GT(a.jobs_evicted(), 0u);
+    serial::Writer out;
+    a.save_state(out);
+    if (dump) {
+      std::printf("      {\"%s\", %zu, 0x%016llXull},\n", g.policy, g.dim,
+                  static_cast<unsigned long long>(fnv1a(out.bytes())));
+      continue;
+    }
+    EXPECT_EQ(fnv1a(out.bytes()), g.hash);
+
+    PolicyPtr other = make_policy(g.policy, 11);
+    Dispatcher b(g.dim, *other);
+    serial::Reader in(out.bytes());
+    b.restore_state(in);
+    serial::Writer again;
+    b.save_state(again);
+    EXPECT_EQ(again.bytes(), out.bytes());
+  }
+  if (dump) GTEST_SKIP() << "golden dump mode; comparisons skipped";
+}
+
+// Restore checks each open bin's block against what the stream already
+// said: a packed count that disagrees with the bin's record, or a bin
+// listed open twice, is a SerialError rather than a second copy or a
+// doubled active list.
+TEST(PoolChurn, RestoreRejectsOpenBinBlocksThatDisagree) {
+  constexpr std::size_t kDim = 2;
+  PolicyPtr policy = make_policy("FirstFit", 11);
+  Dispatcher a(kDim, *policy);
+  churn_with_migration(a, 0xC4EC);
+  const OpenBinTable& table = a.open_bin_table();
+  ASSERT_GT(table.size(), 1u);
+  serial::Writer out;
+  a.save_state(out);
+  const std::vector<std::uint8_t>& saved = out.bytes();
+  // The stream ends with the last open bin's block: id, dim, load, count,
+  // (item u32, departure f64) per active item, packed count, latest
+  // departure -- u64/f64 little endian.
+  const std::size_t last_block =
+      saved.size() -
+      (8 + 8 + 8 * kDim + 8 + 12 * a.occupancy(table.id(table.size() - 1)) +
+       8 + 8);
+  const auto expect_rejected = [&](std::vector<std::uint8_t> bytes,
+                                   const std::string& why) {
+    PolicyPtr other = make_policy("FirstFit", 11);
+    Dispatcher b(kDim, *other);
+    serial::Reader in(bytes);
+    try {
+      b.restore_state(in);
+      ADD_FAILURE() << "restore accepted a checkpoint with " << why;
+    } catch (const serial::SerialError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  std::vector<std::uint8_t> bytes = saved;
+  bytes[bytes.size() - 16] ^= 1;  // low byte of the packed count
+  expect_rejected(bytes, "packed count");
+  bytes = saved;
+  const BinId first = table.id(0);
+  for (int i = 0; i < 8; ++i) {
+    bytes[last_block + i] = static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(first) >> (8 * i));
+  }
+  expect_rejected(bytes, "listed open twice");
 }
 
 // The fits kernel the runtime dispatch picked. The no-simd-parity CI job

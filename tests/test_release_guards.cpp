@@ -8,36 +8,34 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/bin_state.hpp"
 #include "core/dispatcher.hpp"
 #include "core/event.hpp"
 #include "core/policies/registry.hpp"
+#include "core/pool.hpp"
 #include "core/simulator.hpp"
 
 namespace dvbp {
 namespace {
 
-TEST(ReleaseGuards, BinStateRemoveUnknownItemThrows) {
-  const Item present(0, 0.0, 2.0, RVec{0.4});
-  const Item absent(1, 0.0, 3.0, RVec{0.3});
+TEST(ReleaseGuards, UsagePoolEraseUnknownItemThrows) {
   UsagePool pool;
-  BinState bin(0, 1, 0.0, 1.0, &pool);
-  bin.add(present);
-  EXPECT_THROW(bin.remove(absent), std::logic_error);
-  // The failed removal must not have corrupted the load.
-  EXPECT_NEAR(bin.load()[0], 0.4, 1e-12);
-  EXPECT_EQ(bin.num_active(), 1u);
+  UsagePool::List list;
+  pool.append(list, 0, 2.0);
+  EXPECT_THROW(pool.erase(list, 1), std::logic_error);
+  // The failed erase must leave the list intact.
+  EXPECT_EQ(list.size, 1u);
+  ASSERT_EQ(list.head, list.tail);
+  EXPECT_EQ(pool[list.head].item, 0u);
 }
 
-TEST(ReleaseGuards, BinStateRemoveTwiceThrows) {
-  const Item item(0, 0.0, 2.0, RVec{0.4});
-  const Item other(1, 0.0, 3.0, RVec{0.3});
+TEST(ReleaseGuards, UsagePoolEraseTwiceThrows) {
   UsagePool pool;
-  BinState bin(0, 1, 0.0, 1.0, &pool);
-  bin.add(item);
-  bin.add(other);
-  EXPECT_FALSE(bin.remove(item));
-  EXPECT_THROW(bin.remove(item), std::logic_error);
+  UsagePool::List list;
+  pool.append(list, 0, 2.0);
+  pool.append(list, 1, 3.0);
+  EXPECT_DOUBLE_EQ(pool.erase(list, 0), 2.0);
+  EXPECT_THROW(pool.erase(list, 0), std::logic_error);
+  EXPECT_EQ(list.size, 1u);
 }
 
 TEST(ReleaseGuards, DispatcherDepartUnknownJobThrows) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/simulator.hpp"
 #include "gen/adversarial.hpp"
@@ -104,9 +105,15 @@ INSTANTIATE_TEST_SUITE_P(
                       UbCase{2, 8, 7}, UbCase{2, 8, 8}, UbCase{3, 5, 9},
                       UbCase{3, 5, 10}, UbCase{5, 4, 11}, UbCase{5, 4, 12}),
     [](const ::testing::TestParamInfo<UbCase>& info) {
-      return "d" + std::to_string(info.param.d) + "_mu" +
-             std::to_string(info.param.mu) + "_s" +
-             std::to_string(info.param.seed);
+      // Built with += : GCC 12 reports a -Wrestrict false positive on
+      // "literal" + std::to_string(...).
+      std::string name = "d";
+      name += std::to_string(info.param.d);
+      name += "_mu";
+      name += std::to_string(info.param.mu);
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 // The adversarial instances must also respect the upper bounds -- a lower
